@@ -32,10 +32,7 @@
 // against the still-pending future instead of taking the ready bypass),
 // -deep / SPDAG_DEEP (scatter depth of the deep-tree mode, default 8;
 // 0 disables those configs). -json <path> / SPDAG_JSON writes one
-// structured record per config (CI uploads them as BENCH_*.json). The base
-// configs also sweep `alloc:pool` vs `alloc:pool:adaptive` — fan-out churns
-// the smallest (waiter record) and largest (node group) pool geometries, so
-// it is where adaptive magazine sizing diverges most from fixed.
+// structured record per config (CI uploads them as BENCH_*.json).
 
 #include <benchmark/benchmark.h>
 
@@ -63,20 +60,16 @@ using namespace spdag;
 // needs this flag to turn the guard into a red build.
 std::atomic<bool> g_deep_drain_dark{false};
 
-void register_config(const std::string& outset_spec,
-                     const std::string& alloc_spec, std::size_t workers,
+void register_config(const std::string& outset_spec, std::size_t workers,
                      std::uint64_t n, std::uint64_t producer_ns, int runs) {
   // Appends, not one operator+ chain (gcc 12 -O3 -Wrestrict, PR 105651).
   std::string name = "fanout/";
   name += outset_spec;
-  name += "/alloc:";
-  name += alloc_spec;
   name += "/proc:";
   name += std::to_string(workers);
   benchmark::RegisterBenchmark(name.c_str(), [=](benchmark::State& st) {
     runtime_config cfg{workers, "dyn"};
     cfg.outset = outset_spec;
-    cfg.alloc = alloc_spec;
     runtime rt(cfg);
     harness::fanout(rt, n, 0, producer_ns);  // warm-up: pools, pages
     obs::tracer::instance().reset();  // summary covers the measured window
@@ -131,10 +124,6 @@ void register_config(const std::string& outset_spec,
                              st.counters["retries/add"].value);
       rec.extra.emplace_back("rejected_per_add",
                              st.counters["rejected/add"].value);
-      rec.extra.emplace_back("alloc_adaptive",
-                             alloc_spec.find("adaptive") != std::string::npos
-                                 ? 1.0
-                                 : 0.0);
       harness::json_add(std::move(rec));
     }
   })
@@ -273,17 +262,10 @@ int main(int argc, char** argv) {
   }
   const std::uint64_t deep = static_cast<std::uint64_t>(deep_raw);
 
-  // The alloc dimension sweeps adaptive against fixed magazines on the
-  // registration-heavy base configs (fan-out churns waiter records and node
-  // groups, the geometry extremes of the pool set); the deep-tree configs
-  // keep the default alloc so lat_ms stays a scheduler comparison.
   const std::vector<std::string> algos{"simple", "tree", "tree:4"};
-  const std::vector<std::string> allocs{"pool", "pool:adaptive"};
   for (const auto& algo : algos) {
-    for (const auto& alloc : allocs) {
-      for (std::size_t p : harness::worker_sweep(common.max_proc)) {
-        register_config(algo, alloc, p, common.n, producer_ns, common.runs);
-      }
+    for (std::size_t p : harness::worker_sweep(common.max_proc)) {
+      register_config(algo, p, common.n, producer_ns, common.runs);
     }
   }
   const std::vector<std::string> scheds{"ws", "private"};

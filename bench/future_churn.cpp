@@ -24,8 +24,7 @@
 // SPDAG_PROC, -runs / SPDAG_RUNS, -workns / SPDAG_WORKNS (producer busy-work).
 // Telemetry: -json <path> / SPDAG_JSON writes one structured record per
 // config (the CI perf gate consumes it; see scripts/perf_smoke_gate.py).
-// The alloc sweep covers fixed-capacity pools, adaptive magazines
-// ("pool:adaptive") and the malloc baseline.
+// The alloc sweep covers the slab pools and the malloc baseline.
 
 #include <benchmark/benchmark.h>
 
@@ -116,10 +115,6 @@ void register_config(const std::string& alloc_spec, std::size_t workers,
       rec.extra.emplace_back("recycle_rate", st.counters["recycle_rate"].value);
       rec.extra.emplace_back("remote_free_rate",
                              st.counters["remote/free"].value);
-      rec.extra.emplace_back("mag_grows",
-                             static_cast<double>(after.mag_grows));
-      rec.extra.emplace_back("mag_shrinks",
-                             static_cast<double>(after.mag_shrinks));
       harness::json_add(std::move(rec));
     }
   })
@@ -136,11 +131,9 @@ int main(int argc, char** argv) {
   const std::uint64_t work_ns = static_cast<std::uint64_t>(
       opts.get_int("workns", 0));
 
-  // The adaptive-vs-fixed sweep: "pool" pins each magazine at its
-  // geometry-derived capacity, "pool:adaptive" lets capacities follow the
-  // per-worker refill/flush rate, "malloc" is the upstream baseline the CI
-  // perf gate compares "pool" against.
-  const std::vector<std::string> algos{"pool", "pool:adaptive", "malloc"};
+  // "malloc" is the upstream baseline the CI perf gate compares "pool"
+  // against.
+  const std::vector<std::string> algos{"pool", "malloc"};
   for (const auto& algo : algos) {
     for (std::size_t p : harness::worker_sweep(common.max_proc)) {
       register_config(algo, p, common.n, work_ns, common.runs);

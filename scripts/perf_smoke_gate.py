@@ -41,18 +41,9 @@ must report counter_ops_per_edge strictly < 1.0, unbatched records must
 sit at exactly 1.0 (small tolerance for float serialization) — unbatched
 execution pays one inc + one dec per edge by construction.
 
-With --contention, additionally gates the contention-diffusion ablation
-(BENCH_contention.json from bench/contention_ablation): every
-contention/<family>/<spec>/proc:<p> record must conserve its operations
-exactly (accounted == attempted > 0) and report a finite positive rate,
-and every DIFFUSED spec (extra.diffused == 1: pool:elim / simple:fc / fc)
-at procs >= 2 must show the diffusion machinery actually firing —
-eliminations + combined_ops > 0. The storms retry a bounded number of
-rounds specifically so this is deterministic on a 1-core runner.
-
-With --selftest, runs the embedded good/bad fixture documents through
-every gate (churn pool/malloc ratio, trace/epoch overhead compare,
-service, apps, contention) and exits nonzero if any gate passes a bad
+With --selftest, runs the embedded good/bad/malformed fixture documents
+through every gate (churn pool/malloc ratio, trace/epoch overhead compare,
+service, apps) and exits nonzero if any gate passes a bad
 fixture or fails a good one — run this FIRST in CI so a refactor of this
 script cannot silently pass everything.
 
@@ -65,7 +56,6 @@ Usage: perf_smoke_gate.py BENCH_future_churn.json [--min-ratio 0.9]
            [--max-epoch-overhead 0.03]
            [--service BENCH_service_traffic.json]
            [--apps BENCH_apps.json]
-           [--contention BENCH_contention.json]
        perf_smoke_gate.py --selftest
 """
 
@@ -250,54 +240,10 @@ def apps_gate(path):
     return ok
 
 
-def contention_gate(path):
-    """True when every contention-ablation record is sane (see module doc)."""
-    doc = load(path)
-    checked = 0
-    ok = True
-    for rec in doc["records"]:
-        name = rec.get("name", "")
-        if not name.startswith("contention/"):
-            continue
-        checked += 1
-        extra = rec.get("extra", {})
-        attempted = extra.get("attempted", 0)
-        accounted = extra.get("accounted", 0)
-        diffused = extra.get("diffused", 0) > 0
-        fired = extra.get("eliminations", 0) + extra.get("combined_ops", 0)
-        rate = rec.get("ops_per_s", 0)
-        proc = rec.get("proc", 0)
-        problems = []
-        if attempted <= 0:
-            problems.append("attempted == 0")
-        if accounted != attempted:
-            problems.append(
-                f"conservation: accounted {accounted:.0f} != attempted "
-                f"{attempted:.0f}")
-        if not (math.isfinite(rate) and rate > 0):
-            problems.append(f"ops_per_s not finite/positive: {rate}")
-        if diffused and proc >= 2 and fired <= 0:
-            problems.append(
-                "diffused spec never diffused: eliminations + combined_ops "
-                "== 0 at procs >= 2")
-        verdict = "ok" if not problems else "FAIL: " + "; ".join(problems)
-        print(f"  {name}: {attempted:,.0f} ops @ {rate:,.0f}/s, "
-              f"diffusion events {fired:,.0f} [{verdict}]")
-        if problems:
-            ok = False
-    if checked == 0:
-        print(f"perf_smoke_gate: no contention/ records in {path}",
-              file=sys.stderr)
-        sys.exit(2)
-    return ok
-
-
 def churn_gate(doc, min_ratio):
     """True when pooled churn throughput keeps up with same-run malloc.
 
-    churn/<alloc-spec>/proc:<p> records; "pool" is the gated spec,
-    "pool:adaptive" is reported for the trajectory but not gated (its
-    magazines re-size mid-run, so its smoke-sized numbers are noisier).
+    churn/<alloc-spec>/proc:<p> records; "pool" is the gated spec.
     """
     by_spec = {}
     for rec in doc["records"]:
@@ -307,7 +253,6 @@ def churn_gate(doc, min_ratio):
 
     base = by_spec.get("malloc", {})
     pool = by_spec.get("pool", {})
-    adaptive = by_spec.get("pool:adaptive", {})
 
     ok = True
     checked = 0
@@ -321,9 +266,6 @@ def churn_gate(doc, min_ratio):
               f"{base[proc]:,.0f} fut/s -> ratio {ratio:.3f} [{verdict}]")
         if ratio < min_ratio:
             ok = False
-        if proc in adaptive and base[proc] > 0:
-            print(f"  proc {proc}: pool:adaptive {adaptive[proc]:,.0f} fut/s "
-                  f"-> ratio {adaptive[proc] / base[proc]:.3f} [info]")
 
     if checked == 0:
         print("perf_smoke_gate: no comparable pool/malloc record pairs found",
@@ -358,17 +300,6 @@ def _app_rec(batch, ratio, completed=100, spawned=100, p99=1.0, rate=100.0):
                       "counter_ops_per_edge": ratio, "batch": batch}}
 
 
-def _contention_rec(spec, proc, diffused, elim=0, combined=0, attempted=100,
-                    accounted=None, rate=100.0):
-    return {"name": f"contention/x/{spec}/proc:{proc}", "spec": spec,
-            "proc": proc, "ops_per_s": rate,
-            "extra": {"attempted": attempted,
-                      "accounted": attempted if accounted is None
-                      else accounted,
-                      "diffused": diffused, "eliminations": elim,
-                      "combined_ops": combined}}
-
-
 def selftest():
     """Runs every gate over embedded good/bad fixtures; 0 iff all behave."""
     failures = []
@@ -390,6 +321,10 @@ def selftest():
                 json.dump(doc, f)
             return path
 
+        truncated = os.path.join(tmp, "truncated.json")
+        with open(truncated, "w") as f:
+            f.write("{\"schema\": 2, \"records\": [")
+
         # churn pool/malloc ratio gate
         churn_good = _fixture([_churn_rec("malloc", 1, 100.0),
                                _churn_rec("pool", 1, 120.0)])
@@ -398,6 +333,8 @@ def selftest():
         expect("churn good", "pass", lambda: churn_gate(churn_good, 0.9))
         expect("churn bad", "fail", lambda: churn_gate(churn_bad, 0.9))
         expect("churn empty", "exit2", lambda: churn_gate(_fixture([]), 0.9))
+        expect("churn malformed", "exit2",
+               lambda: churn_gate(load(truncated), 0.9))
 
         # trace/epoch overhead compare (same code path for both flags)
         flat = write("flat.json", churn_good)
@@ -410,6 +347,8 @@ def selftest():
         empty = write("empty.json", _fixture([]))
         expect("overhead empty", "exit2",
                lambda: overhead_gate(churn_good, empty, 0.03, "selftest"))
+        expect("overhead malformed", "exit2",
+               lambda: overhead_gate(churn_good, truncated, 0.03, "selftest"))
 
         # service gate
         svc_good = write("svc_good.json", _fixture([_service_rec(100, 100)]))
@@ -417,6 +356,7 @@ def selftest():
         expect("service good", "pass", lambda: service_gate(svc_good))
         expect("service bad", "fail", lambda: service_gate(svc_bad))
         expect("service empty", "exit2", lambda: service_gate(empty))
+        expect("service malformed", "exit2", lambda: service_gate(truncated))
 
         # apps gate
         apps_good = write("apps_good.json",
@@ -429,31 +369,7 @@ def selftest():
         expect("apps bad", "fail", lambda: apps_gate(apps_bad))
         expect("apps no-batch", "exit2", lambda: apps_gate(apps_nobatch))
         expect("apps empty", "exit2", lambda: apps_gate(empty))
-
-        # contention gate
-        cont_good = write("cont_good.json", _fixture([
-            _contention_rec("pool", 2, 0),
-            _contention_rec("pool:elim", 2, 1, elim=8),
-            _contention_rec("simple:fc", 2, 1, combined=40),
-            _contention_rec("simple:fc", 1, 1),  # 1 proc: no firing needed
-        ]))
-        cont_undiffused = write("cont_undiffused.json", _fixture([
-            _contention_rec("pool:elim", 2, 1, elim=0, combined=0)]))
-        cont_leak = write("cont_leak.json", _fixture([
-            _contention_rec("pool", 2, 0, accounted=99)]))
-        cont_rate = write("cont_rate.json", _fixture([
-            _contention_rec("pool", 2, 0, rate=0.0)]))
-        expect("contention good", "pass", lambda: contention_gate(cont_good))
-        expect("contention undiffused", "fail",
-               lambda: contention_gate(cont_undiffused))
-        expect("contention leak", "fail", lambda: contention_gate(cont_leak))
-        expect("contention rate", "fail", lambda: contention_gate(cont_rate))
-        expect("contention empty", "exit2", lambda: contention_gate(empty))
-        truncated = os.path.join(tmp, "truncated.json")
-        with open(truncated, "w") as f:
-            f.write("{\"schema\": 2, \"records\": [")
-        expect("contention malformed", "exit2",
-               lambda: contention_gate(truncated))
+        expect("apps malformed", "exit2", lambda: apps_gate(truncated))
 
     if failures:
         print(f"perf_smoke_gate: SELFTEST FAILED: {', '.join(failures)}",
@@ -490,10 +406,6 @@ def main():
                     help="merged application-tier document; gates vertex "
                          "conservation and counter_ops_per_edge < 1.0 on "
                          "batch configs")
-    ap.add_argument("--contention", metavar="CONTENTION_JSON", default=None,
-                    help="contention_ablation document; gates exactly-once "
-                         "conservation and diffused specs actually firing "
-                         "(eliminations + combined_ops > 0 at procs >= 2)")
     ap.add_argument("--selftest", action="store_true",
                     help="run every gate over embedded good/bad fixtures "
                          "and exit (no input document needed)")
@@ -509,12 +421,6 @@ def main():
           f"{len(doc['records'])} records")
 
     failed = not churn_gate(doc, args.min_ratio)
-    if args.contention is not None:
-        if not contention_gate(args.contention):
-            print("perf_smoke_gate: FAIL - contention-ablation records "
-                  "violated conservation or a diffused spec never fired",
-                  file=sys.stderr)
-            sys.exit(1)
     if args.apps is not None:
         if not apps_gate(args.apps):
             print("perf_smoke_gate: FAIL - application-tier records violated "

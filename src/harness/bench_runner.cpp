@@ -120,11 +120,6 @@ void print_pool_stats(std::ostream& os,
        << " remote_frees=" << row.stats.remote_frees
        << " live=" << row.stats.live()
        << " retained=" << row.stats.retained();
-    if (row.stats.mag_cap_hi != 0) {
-      os << " mag_cap=" << row.stats.mag_cap_lo << ".."
-         << row.stats.mag_cap_hi << " grows=" << row.stats.mag_grows
-         << " shrinks=" << row.stats.mag_shrinks;
-    }
     if (row.stats.trims != 0) {
       os << " trims=" << row.stats.trims
          << " slabs_released=" << row.stats.slabs_released;
@@ -133,10 +128,6 @@ void print_pool_stats(std::ostream& os,
       os << " slabs_retired=" << row.stats.slabs_retired
          << " slabs_reclaimed=" << row.stats.slabs_reclaimed
          << " limbo_cells=" << row.stats.limbo_cells;
-    }
-    if (row.stats.eliminations != 0 || row.stats.elim_timeouts != 0) {
-      os << " eliminations=" << row.stats.eliminations
-         << " elim_timeouts=" << row.stats.elim_timeouts;
     }
     os << "\n";
   }
@@ -150,9 +141,6 @@ void print_broadcast_stats(std::ostream& os, const outset_totals& outsets,
      << " rejected=" << outsets.rejected_adds
      << " subtrees_offloaded=" << outsets.subtrees_offloaded
      << " group_adds=" << outsets.group_adds
-     << " combined_ops=" << outsets.combined_ops
-     << " combiner_passes=" << outsets.combiner_passes
-     << " fallthroughs=" << outsets.fallthroughs
      << " drains_executed=" << sched.drains_executed
      << " drains_stolen=" << sched.drains_stolen
      << " drains_handed_off=" << sched.drains_handed_off << "\n";
@@ -257,12 +245,8 @@ void emit_pool_stats(std::ostream& os, const pool_stats& s) {
      << ",\"slabs_retired\":" << s.slabs_retired
      << ",\"slabs_reclaimed\":" << s.slabs_reclaimed
      << ",\"limbo_cells\":" << s.limbo_cells
-     << ",\"eliminations\":" << s.eliminations
-     << ",\"elim_timeouts\":" << s.elim_timeouts
-     << ",\"mag_grows\":" << s.mag_grows << ",\"mag_shrinks\":" << s.mag_shrinks
      << ",\"magazine_cells\":" << s.magazine_cells
      << ",\"recycle_cells\":" << s.recycle_cells
-     << ",\"mag_cap_lo\":" << s.mag_cap_lo << ",\"mag_cap_hi\":" << s.mag_cap_hi
      << ",\"live\":" << s.live() << ",\"retained\":" << s.retained() << "}";
 }
 
@@ -314,10 +298,7 @@ void emit_record(std::ostream& os, const json_record& r) {
      << ",\"rejected_adds\":" << r.outsets.rejected_adds
      << ",\"delivered\":" << r.outsets.delivered
      << ",\"subtrees_offloaded\":" << r.outsets.subtrees_offloaded
-     << ",\"group_adds\":" << r.outsets.group_adds
-     << ",\"combined_ops\":" << r.outsets.combined_ops
-     << ",\"combiner_passes\":" << r.outsets.combiner_passes
-     << ",\"fallthroughs\":" << r.outsets.fallthroughs << "}";
+     << ",\"group_adds\":" << r.outsets.group_adds << "}";
   os << ",\"scheduler_totals\":{\"executions\":" << r.sched_totals.executions
      << ",\"steals\":" << r.sched_totals.steals
      << ",\"failed_steal_sweeps\":" << r.sched_totals.failed_steal_sweeps

@@ -4,7 +4,6 @@
 
 #include "counter/faa_counter.hpp"
 #include "counter/fixed_snzi_counter.hpp"
-#include "counter/locked_counter.hpp"
 #include "util/topology.hpp"
 
 namespace spdag {
@@ -22,24 +21,6 @@ std::unique_ptr<dep_counter> faa_factory::create() {
 
 dep_counter* faa_factory::create_pooled(object_bank<dep_counter>& bank) {
   return bank.emplace<faa_counter>();
-}
-
-std::unique_ptr<dep_counter> fc_factory::create() {
-  return std::make_unique<fc_counter>();
-}
-
-dep_counter* fc_factory::create_pooled(object_bank<dep_counter>& bank) {
-  return bank.emplace<fc_counter>();
-}
-
-counter_combining_totals fc_factory::combining_totals() const {
-  counter_combining_totals t;
-  // Every cell in this bank is an fc_counter (the only type this factory
-  // ever emplaces).
-  bank().for_each([&t](const dep_counter& c) {
-    t += static_cast<const fc_counter&>(c).combining_totals();
-  });
-  return t;
 }
 
 std::unique_ptr<dep_counter> fixed_snzi_factory::create() {
@@ -62,20 +43,10 @@ dep_counter* incounter_factory::create_pooled(object_bank<dep_counter>& bank) {
   return bank.emplace<incounter>(0u, cfg);
 }
 
-std::unique_ptr<dep_counter> locked_factory::create() {
-  return std::make_unique<locked_counter>();
-}
-
-dep_counter* locked_factory::create_pooled(object_bank<dep_counter>& bank) {
-  return bank.emplace<locked_counter>();
-}
-
 std::unique_ptr<counter_factory> make_counter_factory(const std::string& spec,
                                                       snzi::tree_stats* stats,
                                                       pool_registry* pools) {
   if (spec == "faa") return std::make_unique<faa_factory>();
-  if (spec == "fc") return std::make_unique<fc_factory>(pools);
-  if (spec == "locked") return std::make_unique<locked_factory>();
   if (spec.rfind("snzi:", 0) == 0) {
     const int depth = std::stoi(spec.substr(5));
     return std::make_unique<fixed_snzi_factory>(depth, stats, pools);

@@ -15,7 +15,6 @@
 #include <string>
 
 #include "counter/dep_counter.hpp"
-#include "counter/fc_counter.hpp"
 #include "incounter/incounter.hpp"
 #include "mem/object_bank.hpp"
 #include "mem/registry.hpp"
@@ -56,10 +55,6 @@ class counter_factory {
   virtual std::unique_ptr<dep_counter> create() = 0;
   // Pooled construction: emplace the concrete type into the bank.
   virtual dep_counter* create_pooled(object_bank<dep_counter>& bank) = 0;
-  // Every counter this factory ever created (bank cells stay live for the
-  // factory's lifetime) — concrete factories sum per-counter instrumentation
-  // over it, like fc_factory::combining_totals().
-  const object_bank<dep_counter>& bank() const noexcept { return bank_; }
 
  private:
   object_bank<dep_counter> bank_;
@@ -71,22 +66,6 @@ class faa_factory final : public counter_factory {
  public:
   std::string name() const override { return "faa"; }
   std::string display_name() const override { return "Fetch & Add"; }
-
- protected:
-  std::unique_ptr<dep_counter> create() override;
-  dep_counter* create_pooled(object_bank<dep_counter>& bank) override;
-};
-
-class fc_factory final : public counter_factory {
- public:
-  explicit fc_factory(pool_registry* pools = nullptr)
-      : counter_factory(pools) {}
-  std::string name() const override { return "fc"; }
-  std::string display_name() const override { return "Flat combining"; }
-
-  // Combining instrumentation summed over every counter this factory ever
-  // created (monotone across pooling generations, like outset totals).
-  counter_combining_totals combining_totals() const;
 
  protected:
   std::unique_ptr<dep_counter> create() override;
@@ -147,28 +126,14 @@ class incounter_factory final : public counter_factory {
   object_pool* pair_pool_;
 };
 
-class locked_factory final : public counter_factory {
- public:
-  std::string name() const override { return "locked"; }
-  std::string display_name() const override { return "Locked (oracle)"; }
-
- protected:
-  std::unique_ptr<dep_counter> create() override;
-  dep_counter* create_pooled(object_bank<dep_counter>& bank) override;
-};
-
 // Parses a counter spec:
 //   "faa"                         fetch-and-add cell
-//   "fc"                          flat-combining front over the same cell
-//                                 (counter/fc_counter.hpp) — the diffused
-//                                 flat baseline for contention ablations
 //   "snzi:<depth>"                fixed-depth SNZI tree
 //   "dyn[:<threshold>]"           in-counter; default threshold = 25 * cores
 //                                 (the paper's p = 1/(25c))
 //   "dyn:<threshold>:noreclaim"   in-counter without appendix-B reclamation
 //                                 (required when the dag randomizes claim
 //                                 order, which voids Lemma 4.6's safety)
-//   "locked"                      mutex oracle (tests only)
 // Throws std::invalid_argument on anything else.
 // (The fan-out dual — "outset:simple" / "outset:tree[:fanout[:threshold]]"
 // specs for future waiter broadcast — is parsed by make_outset_factory in

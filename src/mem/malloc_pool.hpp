@@ -4,8 +4,8 @@
 // slab pools buy: under this pool stats().slab_growths climbs one-for-one
 // with allocs (every allocation is upstream), where slab_cache plateaus
 // after warm-up. It retains nothing, so trim() stays the base-class no-op
-// (frees already went straight back upstream) and the magazine gauges
-// (retained(), mag_cap_lo/hi) read zero — malloc is "always trimmed".
+// (frees already went straight back upstream) and retained() reads zero —
+// malloc is "always trimmed".
 
 #include <atomic>
 #include <cstdint>

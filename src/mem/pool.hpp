@@ -57,18 +57,10 @@ struct pool_stats {
   std::uint64_t cells_released = 0; // cells whose storage trim() returned
                                     // upstream (they leave the carved
                                     // population for good)
-  std::uint64_t mag_grows = 0;      // adaptive effective-cap doublings
-  std::uint64_t mag_shrinks = 0;    // adaptive effective-cap halvings
   std::uint64_t slabs_retired = 0;  // fully-free slabs trim_live() parked in
                                     // epoch limbo (epoch reclamation)
   std::uint64_t slabs_reclaimed = 0;// limbo slabs actually freed after the
                                     // 2-epoch safety delay
-  std::uint64_t eliminations = 0;   // free/alloc pairs that rendezvoused on
-                                    // an elimination slot and cancelled
-                                    // without touching the recycle list
-                                    // (alloc:pool:elim; counted per pair)
-  std::uint64_t elim_timeouts = 0;  // offers that spun out and fell through
-                                    // to the Treiber list
 
   // Gauges (snapshots, not counters) ---------------------------------------
   std::uint64_t magazine_cells = 0; // cells currently parked in magazines
@@ -76,9 +68,6 @@ struct pool_stats {
                                     // list
   std::uint64_t limbo_cells = 0;    // cells in retired-but-not-yet-reclaimed
                                     // slabs (epoch limbo)
-  std::uint64_t mag_cap_lo = 0;     // smallest / largest effective magazine
-  std::uint64_t mag_cap_hi = 0;     // capacity across live magazines (0 =
-                                    // no magazine created yet)
 
   // Cells currently handed out (approximate under concurrency).
   std::uint64_t live() const noexcept {
@@ -112,23 +101,11 @@ struct pool_stats {
     trims += o.trims;
     slabs_released += o.slabs_released;
     cells_released += o.cells_released;
-    mag_grows += o.mag_grows;
-    mag_shrinks += o.mag_shrinks;
     slabs_retired += o.slabs_retired;
     slabs_reclaimed += o.slabs_reclaimed;
-    eliminations += o.eliminations;
-    elim_timeouts += o.elim_timeouts;
     magazine_cells += o.magazine_cells;
     recycle_cells += o.recycle_cells;
     limbo_cells += o.limbo_cells;
-    // Capacity gauges combine as an envelope: min of set minima, max of
-    // maxima (0 means "no magazines yet" and is skipped).
-    if (o.mag_cap_lo != 0) {
-      mag_cap_lo = mag_cap_lo == 0 ? o.mag_cap_lo
-                                   : (o.mag_cap_lo < mag_cap_lo ? o.mag_cap_lo
-                                                                : mag_cap_lo);
-    }
-    if (o.mag_cap_hi > mag_cap_hi) mag_cap_hi = o.mag_cap_hi;
     return *this;
   }
 };

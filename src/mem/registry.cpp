@@ -104,8 +104,6 @@ std::string slab_pool_registry::spec() const {
     s += ':';
     s += std::to_string(magazine_bytes_);
   }
-  if (adaptive_) s += ":adaptive";
-  if (elim_) s += ":elim";
   return s;
 }
 
@@ -115,7 +113,7 @@ std::unique_ptr<object_pool> slab_pool_registry::create(std::string name,
   return std::make_unique<slab_cache>(
       std::move(name), bytes, align,
       slab_bytes_ == 0 ? slab_cache::default_slab_bytes : slab_bytes_,
-      magazine_bytes_, adaptive_, elim_);
+      magazine_bytes_);
 }
 
 namespace {
@@ -159,7 +157,7 @@ std::unique_ptr<pool_registry> make_pool_registry(const std::string& spec) {
   if (s != "pool" && s.rfind("pool:", 0) != 0) {
     throw std::invalid_argument("unknown alloc spec: " + spec);
   }
-  // pool[:block[:mag]][:adaptive][:elim] — split the tail on ':'.
+  // pool[:block[:mag]] — split the tail on ':'.
   std::vector<std::string> fields;
   for (std::size_t at = 4; at < s.size();) {
     const std::size_t next = s.find(':', at + 1);
@@ -167,20 +165,6 @@ std::unique_ptr<pool_registry> make_pool_registry(const std::string& spec) {
                                           ? std::string::npos
                                           : next - at - 1));
     at = next;
-  }
-  // Trailing flags, any order, each at most once ("pool:adaptive:adaptive"
-  // must still fail — the duplicate falls through to the numeric parse).
-  bool adaptive = false;
-  bool elim = false;
-  while (!fields.empty()) {
-    if (fields.back() == "adaptive" && !adaptive) {
-      adaptive = true;
-    } else if (fields.back() == "elim" && !elim) {
-      elim = true;
-    } else {
-      break;
-    }
-    fields.pop_back();
   }
   if (fields.size() > 2) {
     throw std::invalid_argument("alloc pool spec has too many fields: " + spec);
@@ -197,8 +181,7 @@ std::unique_ptr<pool_registry> make_pool_registry(const std::string& spec) {
   if (fields.size() == 2) {
     mag_bytes = parse_bytes_field(fields[1], 256, 1ULL << 20, "magazine", spec);
   }
-  return std::make_unique<slab_pool_registry>(slab_bytes, mag_bytes, adaptive,
-                                              elim);
+  return std::make_unique<slab_pool_registry>(slab_bytes, mag_bytes);
 }
 
 pool_registry& default_pool_registry() {

@@ -11,18 +11,6 @@
 //   "pool:<block>:<mag>"  ... plus a per-magazine byte budget (bytes in
 //                         [256, 1<<20]; the magazine CELL capacity derived
 //                         from it is clamped to [8, 128], see slab_pool.hpp)
-//   "...:adaptive"        any pool form may append ":adaptive" (shortest:
-//                         "pool:adaptive") — magazines then resize their
-//                         effective capacity at runtime on refill/flush
-//                         ping-pong instead of pinning it at the derived cap
-//   "...:elim"            any pool form may append ":elim" (shortest:
-//                         "pool:elim"; combines with ":adaptive" in either
-//                         order) — an elimination array then fronts the
-//                         global recycle list so cross-worker free / refill-
-//                         miss pairs rendezvous on randomized slots instead
-//                         of serializing on the Treiber head (slab_pool.hpp)
-// Each flag may appear at most once. Malloc pools have no recycle list to
-// diffuse, so "malloc:elim" is rejected like any other unknown spec.
 // Throws std::invalid_argument on anything else.
 //
 // One registry per runtime: the runtime constructs it first and destroys it
@@ -111,13 +99,8 @@ class slab_pool_registry final : public pool_registry {
  public:
   // 0 for either byte knob = slab_cache's default.
   explicit slab_pool_registry(std::size_t slab_bytes = 0,
-                              std::size_t magazine_bytes = 0,
-                              bool adaptive = false,
-                              bool elim = false) noexcept
-      : slab_bytes_(slab_bytes),
-        magazine_bytes_(magazine_bytes),
-        adaptive_(adaptive),
-        elim_(elim) {}
+                              std::size_t magazine_bytes = 0) noexcept
+      : slab_bytes_(slab_bytes), magazine_bytes_(magazine_bytes) {}
   std::string spec() const override;
 
  protected:
@@ -127,8 +110,6 @@ class slab_pool_registry final : public pool_registry {
  private:
   std::size_t slab_bytes_;
   std::size_t magazine_bytes_;
-  bool adaptive_;
-  bool elim_;
 };
 
 // Parses an alloc spec (see file comment).

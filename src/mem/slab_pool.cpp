@@ -41,24 +41,11 @@ void bump(std::atomic<std::uint64_t>& c) noexcept {
   c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
-// Per-thread xorshift for randomized elimination-slot selection. Seeded
-// from a process-wide counter (not the clock) so two threads starting
-// together still probe different slots.
-std::uint32_t elim_rand() noexcept {
-  static std::atomic<std::uint32_t> g_seed{0x9e3779b9u};
-  static thread_local std::uint32_t state =
-      g_seed.fetch_add(0x9e3779b9u, std::memory_order_relaxed) | 1u;
-  state ^= state << 13;
-  state ^= state >> 17;
-  state ^= state << 5;
-  return state;
-}
-
 }  // namespace
 
 slab_cache::slab_cache(std::string name, std::size_t object_bytes,
                        std::size_t object_align, std::size_t slab_bytes,
-                       std::size_t magazine_bytes, bool adaptive, bool elim)
+                       std::size_t magazine_bytes)
     : object_pool(std::move(name), object_bytes, object_align) {
   if (object_bytes == 0) {
     throw std::invalid_argument("slab_cache: zero object size");
@@ -78,13 +65,6 @@ slab_cache::slab_cache(std::string name, std::size_t object_bytes,
                    : (by_budget > mag_cap_max
                           ? mag_cap_max
                           : static_cast<std::uint32_t>(by_budget));
-  adaptive_ = adaptive;
-  elim_ = elim;
-  // Adaptive magazines start small (room to grow under thrash AND shrink
-  // head-room already used); fixed magazines use the full derived capacity.
-  initial_cap_ =
-      adaptive_ ? (mag_slots_ / 4 < mag_cap_min ? mag_cap_min : mag_slots_ / 4)
-                : mag_slots_;
 }
 
 slab_cache::~slab_cache() {
@@ -99,14 +79,13 @@ slab_cache::~slab_cache() {
   for (void* slab : slabs_) std::free(slab);
 }
 
-slab_cache::magazine* slab_cache::magazine_create(std::uint32_t slots,
-                                                  std::uint32_t cap0) {
+slab_cache::magazine* slab_cache::magazine_create(std::uint32_t slots) {
   // Variably-sized: the item array trails the header, sized for the pool's
-  // geometry-derived slot count (the adaptive cap moves beneath it).
+  // geometry-derived slot count.
   const std::size_t bytes =
       sizeof(magazine) + static_cast<std::size_t>(slots) * sizeof(void*);
   void* raw = ::operator new(bytes, std::align_val_t{alignof(magazine)});
-  return ::new (raw) magazine(cap0);
+  return ::new (raw) magazine();
 }
 
 void slab_cache::magazine_destroy(magazine* m) noexcept {
@@ -117,7 +96,7 @@ void slab_cache::magazine_destroy(magazine* m) noexcept {
 slab_cache::magazine& slab_cache::mag(int slot) {
   magazine* m = mags_[slot].load(std::memory_order_acquire);
   if (m == nullptr) {
-    m = magazine_create(mag_slots_, initial_cap_);
+    m = magazine_create(mag_slots_);
     mags_[slot].store(m, std::memory_order_release);
   }
   return *m;
@@ -135,7 +114,6 @@ void* slab_cache::allocate() {
   const int slot = mem::thread_slot();
   if (slot >= 0) {
     magazine& m = mag(slot);
-    ++m.since_cycle;
     std::uint32_t cnt = m.count.load(std::memory_order_relaxed);
     if (cnt == 0) {
       refill(m);
@@ -147,10 +125,9 @@ void* slab_cache::allocate() {
     if (restamp(p, slot)) bump(m.recycles);
     return p;
   }
-  // Over-subscribed thread: no magazine, straight to the shared layers —
-  // elimination rendezvous first, then the recycle list.
-  void* p = elim_ ? try_elim_take() : nullptr;
-  if (p == nullptr) {
+  // Over-subscribed thread: no magazine, straight to the recycle list.
+  void* p = nullptr;
+  {
     // pop_global reads the link of a cell a racing thread may pop and a
     // racing trim_live may retire; the pin keeps that stale read mapped.
     mem::epoch::pin_guard pin;
@@ -176,13 +153,10 @@ void slab_cache::deallocate(void* p) noexcept {
   magazine* m =
       slot >= 0 ? mags_[slot].load(std::memory_order_acquire) : nullptr;
   if (m != nullptr) {
-    ++m->since_cycle;
     bump(m->frees);
     if (remote) bump(m->remote_frees);
     std::uint32_t cnt = m->count.load(std::memory_order_relaxed);
-    // >= rather than ==: an adaptive shrink can leave count above the new
-    // effective cap; the next free sheds the excess in one flush.
-    if (cnt >= m->cap.load(std::memory_order_relaxed)) {
+    if (cnt == mag_slots_) {
       flush(*m);
       cnt = m->count.load(std::memory_order_relaxed);
     }
@@ -192,56 +166,14 @@ void slab_cache::deallocate(void* p) noexcept {
   }
   g_frees_.fetch_add(1, std::memory_order_relaxed);
   if (remote) g_remote_frees_.fetch_add(1, std::memory_order_relaxed);
-  // Diffuse the cross-worker free: park on a rendezvous slot when one is
-  // open so a racing (or imminent) refill miss takes it there, off the
-  // recycle list's hot line.
-  if (elim_ && try_elim_put(p)) return;
   push_global(p, p, 1);
-}
-
-// Owner-thread resize decision, taken at every global-list trip (refill or
-// flush). `since_cycle` is the local traffic since the previous trip: less
-// than one capacity of it means the magazine ping-pongs against the global
-// recycle list (grow for hysteresis); more than 64 capacities means the
-// magazine is oversized for this worker's traffic (shrink to cut stranding).
-// The band between the two thresholds is deliberately wide — caps settle
-// instead of oscillating.
-void slab_cache::adapt(magazine& m) noexcept {
-  const std::uint32_t gap = m.since_cycle;
-  m.since_cycle = 0;
-  if (!adaptive_) return;
-  // The first trip after creation (or a trim reset) necessarily has a tiny
-  // gap — the magazine was empty, not thrashing. Arm the signal instead.
-  if (!m.primed) {
-    m.primed = true;
-    return;
-  }
-  const std::uint32_t cap = m.cap.load(std::memory_order_relaxed);
-  if (gap < cap && cap < mag_slots_) {
-    const std::uint32_t next = cap * 2 > mag_slots_ ? mag_slots_ : cap * 2;
-    m.cap.store(next, std::memory_order_relaxed);
-    bump(m.grows);
-  } else if (gap > 64u * cap && cap > mag_cap_min) {
-    m.cap.store(cap / 2, std::memory_order_relaxed);
-    bump(m.shrinks);
-  }
 }
 
 void slab_cache::refill(magazine& m) {
   bump(m.refills);
-  adapt(m);
-  const std::uint32_t batch = m.cap.load(std::memory_order_relaxed) / 2;
+  const std::uint32_t batch = mag_slots_ / 2;
   void** items = m.items();
   std::uint32_t cnt = 0;
-  // A refill is the consumer side of the elimination rendezvous: harvest
-  // parked cross-worker frees before contending on the recycle list.
-  if (elim_) {
-    while (cnt < batch) {
-      void* p = try_elim_take();
-      if (p == nullptr) break;
-      items[cnt++] = p;
-    }
-  }
   {
     // Pin across the pop batch (see allocate's bypass path). Workers are
     // already pinned by their loop — this only bumps their nesting depth.
@@ -261,23 +193,11 @@ void slab_cache::refill(magazine& m) {
 
 void slab_cache::flush(magazine& m) noexcept {
   bump(m.flushes);
-  adapt(m);
-  // Hand everything above half the (possibly just-resized) cap back; link
-  // it into one chain, publish with one CAS. A grow can raise the cap past
-  // the current fill, in which case there is nothing to shed.
-  const std::uint32_t keep = m.cap.load(std::memory_order_relaxed) / 2;
-  std::uint32_t cnt = m.count.load(std::memory_order_relaxed);
-  if (cnt <= keep) return;
+  // Hand everything above half the capacity back; link it into one chain,
+  // publish with one CAS.
+  const std::uint32_t keep = mag_slots_ / 2;
+  const std::uint32_t cnt = m.count.load(std::memory_order_relaxed);
   void** items = m.items();
-  // Offer the top shed cell to the elimination array first: a flush is a
-  // producer-side burst, and one parked cell is enough to let the next
-  // refill miss rendezvous off the hot line. The rest still travels as one
-  // chain push.
-  if (elim_ && try_elim_put(items[cnt - 1])) {
-    --cnt;
-    m.count.store(cnt, std::memory_order_relaxed);
-    if (cnt <= keep) return;
-  }
   void* first = items[cnt - 1];
   void* last = items[keep];
   for (std::uint32_t i = cnt - 1; i > keep; --i) {
@@ -332,6 +252,11 @@ void* slab_cache::pop_global() noexcept {
 
 void slab_cache::push_global(void* first, void* last,
                              std::uint32_t n) noexcept {
+  // Count before publishing: once the CAS lands a racing pop may take these
+  // cells and decrement, and the gauge must never dip below zero (trim_live
+  // sizes its drain by it). The release CAS orders this add before any
+  // decrement for the same cells.
+  global_cells_.fetch_add(n, std::memory_order_relaxed);
   std::uint64_t head = global_head_.load(std::memory_order_acquire);
   for (;;) {
     link_of(last)->store(ptr_of(head), std::memory_order_relaxed);
@@ -339,74 +264,7 @@ void slab_cache::push_global(void* first, void* last,
     if (global_head_.compare_exchange_weak(head, fresh,
                                            std::memory_order_release,
                                            std::memory_order_acquire)) {
-      global_cells_.fetch_add(n, std::memory_order_relaxed);
       return;
-    }
-  }
-}
-
-// Offer one free cell to the elimination array: bounded randomized probing
-// for an empty slot, park with one CAS. No dereference of anything unowned
-// happens here — the CAS transfers full ownership of `p` into the slot.
-// Every probed slot occupied means the array is saturated (producers are
-// outrunning consumers); the caller falls through to the Treiber push and
-// the miss is tallied as a timeout.
-bool slab_cache::try_elim_put(void* p) noexcept {
-  // Pin around the slot walk (mem/epoch.hpp): not for `p` — we own it —
-  // but to mirror take's discipline so every elimination-array access runs
-  // under the same reclamation argument as pop_global's link walks.
-  mem::epoch::pin_guard pin;
-  std::uint32_t at = elim_rand();
-  for (std::size_t i = 0; i < elim_put_probes; ++i, ++at) {
-    std::atomic<void*>& slot = elim_slots_[at % elim_slot_count].cell;
-    void* cur = slot.load(std::memory_order_relaxed);
-    if (cur == nullptr &&
-        slot.compare_exchange_strong(cur, p, std::memory_order_release,
-                                     std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  elim_timeouts_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-// Claim a parked cell: walk every slot from a randomized start, take the
-// first non-empty one with a single CAS. The load-then-CAS window may race
-// another taker or a trim drain — whoever wins the CAS owns the cell, the
-// loser never dereferences it. The pin keeps the loaded pointer's storage
-// mapped across that window (src/mem/epoch.hpp), the same argument the
-// recycle list's pop makes.
-void* slab_cache::try_elim_take() noexcept {
-  mem::epoch::pin_guard pin;
-  const std::uint32_t start = elim_rand();
-  for (std::size_t i = 0; i < elim_slot_count; ++i) {
-    std::atomic<void*>& slot =
-        elim_slots_[(start + i) % elim_slot_count].cell;
-    void* cur = slot.load(std::memory_order_acquire);
-    if (cur != nullptr &&
-        slot.compare_exchange_strong(cur, nullptr, std::memory_order_acquire,
-                                     std::memory_order_relaxed)) {
-      eliminations_.fetch_add(1, std::memory_order_relaxed);
-      obs::emit(obs::ev_eliminate, 0, 1);
-      return cur;
-    }
-  }
-  return nullptr;
-}
-
-// Take-CAS per slot (not a plain exchange) so trim_live can run this against
-// concurrent rendezvous traffic; at quiescence it degenerates to a walk of
-// empty-or-ours slots. Drained cells do NOT count as eliminations — no
-// allocation matched them.
-void slab_cache::drain_elim(std::vector<void*>& out) noexcept {
-  if (!elim_) return;
-  for (auto& s : elim_slots_) {
-    void* cur = s.cell.load(std::memory_order_acquire);
-    if (cur != nullptr &&
-        s.cell.compare_exchange_strong(cur, nullptr,
-                                       std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-      out.push_back(cur);
     }
   }
 }
@@ -419,8 +277,7 @@ std::size_t slab_cache::trim() {
   trims_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(grow_mu_);
 
-  // 1. Empty every magazine into a scratch list and reset its adaptive
-  //    state, so post-trim traffic re-learns its capacity from scratch.
+  // 1. Empty every magazine into a scratch list.
   std::vector<void*> free_cells;
   for (auto& slot : mags_) {
     magazine* m = slot.load(std::memory_order_acquire);
@@ -429,18 +286,12 @@ std::size_t slab_cache::trim() {
     void** items = m->items();
     for (std::uint32_t i = 0; i < cnt; ++i) free_cells.push_back(items[i]);
     m->count.store(0, std::memory_order_relaxed);
-    m->since_cycle = 0;
-    m->primed = false;
-    m->cap.store(initial_cap_, std::memory_order_relaxed);
   }
 
-  // 2. Drain the global recycle list and any cells parked on elimination
-  //    slots (at quiescence nothing is mid-rendezvous, so this empties the
-  //    array for good).
+  // 2. Drain the global recycle list.
   for (void* p = pop_global(); p != nullptr; p = pop_global()) {
     free_cells.push_back(p);
   }
-  drain_elim(free_cells);
   if (slabs_.empty()) return 0;
 
   // 3. Per-slab occupancy: a slab whose every carved cell is in the free
@@ -543,9 +394,6 @@ std::size_t slab_cache::trim_live() {
     if (p == nullptr) break;
     free_cells.push_back(p);
   }
-  // Parked elimination cells are free too; the take-CAS inside drain_elim
-  // makes this safe against a rendezvous racing us (we already hold a pin).
-  drain_elim(free_cells);
   if (free_cells.empty()) return 0;
 
   std::size_t retired = 0;
@@ -655,17 +503,6 @@ pool_stats slab_cache::stats() const {
   s.slabs_reclaimed = slabs_reclaimed_.load(std::memory_order_relaxed);
   s.recycle_cells = global_cells_.load(std::memory_order_relaxed);
   s.limbo_cells = limbo_cells_.load(std::memory_order_relaxed);
-  s.eliminations = eliminations_.load(std::memory_order_relaxed);
-  s.elim_timeouts = elim_timeouts_.load(std::memory_order_relaxed);
-  if (elim_) {
-    // Parked cells are pool-retained exactly like recycle-list cells; fold
-    // them into the gauge so retained() covers the elimination array.
-    for (const auto& es : elim_slots_) {
-      if (es.cell.load(std::memory_order_relaxed) != nullptr) {
-        ++s.recycle_cells;
-      }
-    }
-  }
   for (const auto& slot : mags_) {
     const magazine* m = slot.load(std::memory_order_acquire);
     if (m == nullptr) continue;
@@ -675,12 +512,7 @@ pool_stats slab_cache::stats() const {
     s.remote_frees += m->remote_frees.load(std::memory_order_relaxed);
     s.magazine_refills += m->refills.load(std::memory_order_relaxed);
     s.magazine_flushes += m->flushes.load(std::memory_order_relaxed);
-    s.mag_grows += m->grows.load(std::memory_order_relaxed);
-    s.mag_shrinks += m->shrinks.load(std::memory_order_relaxed);
     s.magazine_cells += m->count.load(std::memory_order_relaxed);
-    const std::uint64_t cap = m->cap.load(std::memory_order_relaxed);
-    if (s.mag_cap_lo == 0 || cap < s.mag_cap_lo) s.mag_cap_lo = cap;
-    if (cap > s.mag_cap_hi) s.mag_cap_hi = cap;
   }
   return s;
 }

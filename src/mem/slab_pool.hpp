@@ -33,40 +33,11 @@
 //      pop concurrently) pin around the pop, so they are covered by the
 //      same argument.
 //
-// Adaptive mode (`adaptive = true`, spec `alloc:...:adaptive`): each
-// magazine's EFFECTIVE capacity moves at runtime inside
-// [mag_cap_min, magazine_slots()]. The signal is the gap — allocate/
-// deallocate calls on this magazine — between consecutive global-list trips
-// (refill or flush): a gap smaller than the capacity means the worker is
-// ping-ponging refill→flush against the shared recycle list, so the cap
-// doubles (more hysteresis, fewer CASes); a gap longer than 64 capacities
-// means the magazine is over-provisioned for this worker's traffic, so the
-// cap halves (fewer cells stranded in an idle cache). Fixed mode pins the
-// effective cap at magazine_slots().
-//
 // Cell layout: every cell carries a small pool-private header *before* the
 // object — a free-list link (atomic, never aliased by object data, so the
 // Treiber pops are race-free under TSan) and a stamp word recording the slot
 // of the last allocator (0 = never allocated). The stamp gives exact
 // recycle and cross-worker-free counts for one relaxed load per operation.
-//
-// Elimination mode (`elim = true`, spec `alloc:...:elim`): a small array of
-// cache-line-spread rendezvous slots sits in FRONT of the global recycle
-// list. A cross-worker free offers its cell to a randomized slot (bounded
-// probing, falling through to the Treiber push when every probed slot is
-// taken — counted in stats().elim_timeouts); a refill miss or slotless
-// allocate probes the slots and takes a parked cell with one CAS before ever
-// touching the Treiber head. Each matched pair cancels on a private line
-// (counted once, on the taking side, in stats().eliminations) instead of
-// both hammering the list's single hot cache line — the classic
-// elimination-array remedy, here diffusing the pool's residual
-// serialization point. Slot hand-off is a single CAS transfer of full cell
-// ownership: neither side dereferences a cell it does not yet own, and a
-// parked cell is absent from the recycle list, so trim_live() can never
-// retire the slab under it. Slot walks still pin (src/mem/epoch.hpp) so the
-// load-then-CAS window on a concurrently drained slot reads mapped memory —
-// the same argument pop_global's link walk relies on. Both trims drain the
-// slots, so a parked cell never outlives quiescence.
 
 #include <atomic>
 #include <cstddef>
@@ -91,11 +62,6 @@ class slab_cache : public object_pool {
   static constexpr std::size_t default_magazine_bytes = 4096;
   static constexpr std::uint32_t mag_cap_min = 8;
   static constexpr std::uint32_t mag_cap_max = 128;
-  // Rendezvous slots in elimination mode, and how many a free probes before
-  // falling through to the Treiber push. Small on purpose: each slot is a
-  // full cache line, and the win comes from spreading, not depth.
-  static constexpr std::size_t elim_slot_count = 8;
-  static constexpr std::size_t elim_put_probes = 2;
 
   // `slab_bytes` is the upstream allocation unit (rounded up to hold at
   // least one cell); `magazine_bytes` the per-magazine storage budget
@@ -104,8 +70,7 @@ class slab_cache : public object_pool {
   slab_cache(std::string name, std::size_t object_bytes,
              std::size_t object_align,
              std::size_t slab_bytes = default_slab_bytes,
-             std::size_t magazine_bytes = 0, bool adaptive = false,
-             bool elim = false);
+             std::size_t magazine_bytes = 0);
   ~slab_cache() override;
 
   void* allocate() override;
@@ -119,44 +84,27 @@ class slab_cache : public object_pool {
   std::size_t slab_count() const;
   // Storage slots per magazine: the geometry-derived, clamped capacity.
   std::uint32_t magazine_slots() const noexcept { return mag_slots_; }
-  // Where the effective cap starts: magazine_slots() when fixed, a quarter
-  // of it (>= mag_cap_min) when adaptive, leaving room to grow under
-  // thrash.
-  std::uint32_t magazine_initial_cap() const noexcept { return initial_cap_; }
-  bool adaptive() const noexcept { return adaptive_; }
-  bool elim() const noexcept { return elim_; }
 
  private:
   // One worker's cell cache, allocated at mag_slots_ trailing item slots.
-  // Only the slot's owner thread touches items/count/cap/since_cycle in
-  // normal operation; count and cap are single-writer relaxed atomics so
-  // stats() can read them from any thread, and trim() (quiescent-only, so
-  // ordered against every owner access through the scheduler's park/join
-  // handshakes) may rewrite all of them.
+  // Only the slot's owner thread touches items/count in normal operation;
+  // count is a single-writer relaxed atomic so stats() can read it from any
+  // thread, and trim() (quiescent-only, so ordered against every owner
+  // access through the scheduler's park/join handshakes) may rewrite it.
   struct alignas(cache_line_size) magazine {
     std::atomic<std::uint32_t> count{0};
-    std::atomic<std::uint32_t> cap;  // effective capacity, adaptive
-    std::uint32_t since_cycle = 0;   // ops since the last refill/flush
-    bool primed = false;             // true once one refill/flush has run:
-                                     // a fresh magazine's first trip always
-                                     // has a tiny gap (cold start, or a
-                                     // trim reset), which must not read as
-                                     // ping-pong
     std::atomic<std::uint64_t> allocs{0};
     std::atomic<std::uint64_t> frees{0};
     std::atomic<std::uint64_t> recycles{0};
     std::atomic<std::uint64_t> remote_frees{0};
     std::atomic<std::uint64_t> refills{0};
     std::atomic<std::uint64_t> flushes{0};
-    std::atomic<std::uint64_t> grows{0};
-    std::atomic<std::uint64_t> shrinks{0};
 
-    explicit magazine(std::uint32_t cap0) : cap(cap0) {}
     // Item storage lives directly behind the struct (cache-line aligned,
     // sized at creation for mag_slots_ entries).
     void** items() noexcept { return reinterpret_cast<void**>(this + 1); }
   };
-  static magazine* magazine_create(std::uint32_t slots, std::uint32_t cap0);
+  static magazine* magazine_create(std::uint32_t slots);
   static void magazine_destroy(magazine* m) noexcept;
 
   std::atomic<void*>* link_of(void* obj) const noexcept {
@@ -169,21 +117,11 @@ class slab_cache : public object_pool {
   }
 
   magazine& mag(int slot);
-  void adapt(magazine& m) noexcept;      // owner thread, at refill/flush
   void refill(magazine& m);              // postcondition: m.count >= 1
-  void flush(magazine& m) noexcept;      // postcondition: m.count < m.cap
+  void flush(magazine& m) noexcept;      // postcondition: m.count < slots
   void carve(void** out, std::uint32_t want, std::uint32_t& got);
   void* pop_global() noexcept;
   void push_global(void* first, void* last, std::uint32_t n) noexcept;
-  // Elimination rendezvous (elim mode only; see file comment). put parks
-  // one cell on a randomized slot (false = every probed slot taken, caller
-  // falls through to push_global); take claims a parked cell with one CAS
-  // (nullptr = nothing parked on the probed walk).
-  bool try_elim_put(void* p) noexcept;
-  void* try_elim_take() noexcept;
-  // Trim helper: empties every slot into `out` (take-CAS per slot, so it is
-  // safe against concurrent rendezvous traffic under trim_live).
-  void drain_elim(std::vector<void*>& out) noexcept;
   static bool restamp(void* p, int slot) noexcept;
   // Epoch limbo callback: frees one retired slab (mem::epoch::retire's fn).
   static void reclaim_slab(void* self, void* slab) noexcept;
@@ -193,19 +131,11 @@ class slab_cache : public object_pool {
   std::size_t slab_bytes_;
   std::size_t slab_align_;
   std::size_t mag_bytes_;   // requested magazine budget (0 = default)
-  std::uint32_t mag_slots_; // derived storage capacity per magazine
-  std::uint32_t initial_cap_;
-  bool adaptive_;
-  bool elim_;
+  std::uint32_t mag_slots_; // derived capacity per magazine
 
-  // One rendezvous slot per cache line: nullptr = empty, else a parked cell
-  // whose ownership transfers with the take-CAS.
-  struct alignas(cache_line_size) elim_slot {
-    std::atomic<void*> cell{nullptr};
-  };
-  elim_slot elim_slots_[elim_slot_count];
-
-  std::atomic<std::uint64_t> global_head_{0};   // pack(cell, tag)
+  // Recycle-list head, pack(cell, tag), on its own cache line: refill/flush
+  // CASes on it must not invalidate the read-only geometry fields above.
+  alignas(cache_line_size) std::atomic<std::uint64_t> global_head_{0};
   std::atomic<std::uint64_t> global_cells_{0};  // list length (gauge)
   std::atomic<magazine*> mags_[mem::max_thread_slots] = {};
 
@@ -229,10 +159,6 @@ class slab_cache : public object_pool {
   std::atomic<std::uint64_t> slabs_retired_{0};
   std::atomic<std::uint64_t> slabs_reclaimed_{0};
   std::atomic<std::uint64_t> limbo_cells_{0};
-  // Elimination tallies (zero unless elim mode): matched pairs (counted on
-  // the taking side) and offers that fell through to the Treiber list.
-  std::atomic<std::uint64_t> eliminations_{0};
-  std::atomic<std::uint64_t> elim_timeouts_{0};
 };
 
 // Typed convenience over slab_cache for callers that own their pool outright
@@ -242,10 +168,9 @@ class slab_pool final : public slab_cache {
  public:
   explicit slab_pool(std::string name = "slab",
                      std::size_t slab_bytes = default_slab_bytes,
-                     std::size_t magazine_bytes = 0, bool adaptive = false,
-                     bool elim = false)
+                     std::size_t magazine_bytes = 0)
       : slab_cache(std::move(name), sizeof(T), alignof(T), slab_bytes,
-                   magazine_bytes, adaptive, elim) {}
+                   magazine_bytes) {}
 
   template <typename... Args>
   T* create(Args&&... args) {

@@ -326,9 +326,6 @@ trace_summary tracer::summary() const {
         t->counts[ev_slab_retire].load(std::memory_order_relaxed);
     s.slab_reclaims +=
         t->counts[ev_slab_reclaim].load(std::memory_order_relaxed);
-    s.eliminations +=
-        t->counts[ev_eliminate].load(std::memory_order_relaxed);
-    s.combines += t->counts[ev_combine].load(std::memory_order_relaxed);
   }
   const double to_s = ns_per_tick * 1e-9;
   s.work_s = static_cast<double>(span_ticks[sp_work]) * to_s;

@@ -111,11 +111,6 @@ enum event_id : std::uint16_t {
   ev_slab_retire,     // live trim parked slabs in limbo; b = slab count
   ev_slab_reclaim,    // limbo slab freed after the 2-epoch delay;
                       // b = slab KiB returned upstream
-  // Contention diffusion (alloc:pool:elim / outset:simple:fc / counter fc).
-  ev_eliminate,       // a free/alloc pair rendezvoused on an elimination
-                      // slot (emitted by the taking side)
-  ev_combine,         // one combiner pass applied a batch;
-                      // b = requests completed for OTHER threads
   // Counter samples (b = post-update gauge value, clamped to u32).
   ev_ctr_runnable,
   ev_ctr_drains_pending,
@@ -199,9 +194,6 @@ struct trace_summary {
   std::uint64_t epoch_advances = 0;
   std::uint64_t slab_retires = 0;
   std::uint64_t slab_reclaims = 0;
-  // Contention diffusion (zero outside elim/fc specs).
-  std::uint64_t eliminations = 0;
-  std::uint64_t combines = 0;
 
   static const char* mode_name(trace_mode m) noexcept {
     return m == trace_mode::full ? "full"

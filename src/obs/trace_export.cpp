@@ -52,8 +52,6 @@ const ev_info& info_for(std::uint16_t id) noexcept {
       {ev_kind::instant, -1, "epoch_advance"},
       {ev_kind::instant, -1, "slab_retire"},
       {ev_kind::instant, -1, "slab_reclaim"},
-      {ev_kind::instant, -1, "eliminate"},
-      {ev_kind::instant, -1, "combine"},
       {ev_kind::counter, -1, "runnable"},
       {ev_kind::counter, -1, "drains_pending"},
       {ev_kind::counter, -1, "slab_kib"},

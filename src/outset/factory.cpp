@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "outset/fc_outset.hpp"
 #include "outset/simple_outset.hpp"
 #include "util/cache_aligned.hpp"
 
@@ -71,10 +70,6 @@ outset* simple_outset_factory::create_pooled(object_bank<outset>& bank) {
   return bank.emplace<simple_outset>();
 }
 
-outset* fc_outset_factory::create_pooled(object_bank<outset>& bank) {
-  return bank.emplace<fc_outset>();
-}
-
 tree_outset_factory::tree_outset_factory(tree_outset_config cfg,
                                          pool_registry* pools)
     : outset_factory(pools), cfg_(cfg) {
@@ -94,10 +89,6 @@ std::unique_ptr<outset_factory> make_outset_factory(const std::string& spec,
   std::string s = spec;
   if (s.rfind("outset:", 0) == 0) s = s.substr(7);
   if (s == "simple") return std::make_unique<simple_outset_factory>(pools);
-  // The fc suffix diffuses the single-cell baseline; the tree variants
-  // already spread registrations, so "tree:...:fc" stays rejected by the
-  // numeric field parser below — the two remedies don't stack.
-  if (s == "simple:fc") return std::make_unique<fc_outset_factory>(pools);
   if (s == "tree") return std::make_unique<tree_outset_factory>(
       tree_outset_config{}, pools);
   if (s.rfind("tree:", 0) == 0) {

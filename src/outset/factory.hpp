@@ -10,15 +10,6 @@
 //
 // Spec strings (accepted with or without the "outset:" prefix):
 //   "simple"                     single CAS-list head (the baseline)
-//   "simple:fc"                  flat-combining front over the CAS list
-//                                (outset/fc_outset.hpp): threads publish
-//                                adds to per-slot records and one combiner
-//                                splices the batch with a single head CAS —
-//                                contention diffused in place rather than
-//                                tree-spread. The fc suffix applies to
-//                                "simple" only; the tree already spreads,
-//                                so "tree:...:fc" is rejected (its fields
-//                                are numeric).
 //   "tree"                       grow-on-contention tree, fanout 2
 //   "tree:<fanout>"              grow-on-contention tree, given fanout (>= 2)
 //   "tree:<fanout>:<threshold>"  growth damped by a 1/threshold coin, like
@@ -111,16 +102,6 @@ class simple_outset_factory final : public outset_factory {
   using outset_factory::outset_factory;
   std::string name() const override { return "simple"; }
   std::string display_name() const override { return "CAS list"; }
-
- protected:
-  outset* create_pooled(object_bank<outset>& bank) override;
-};
-
-class fc_outset_factory final : public outset_factory {
- public:
-  using outset_factory::outset_factory;
-  std::string name() const override { return "simple:fc"; }
-  std::string display_name() const override { return "flat-combining list"; }
 
  protected:
   outset* create_pooled(object_bank<outset>& bank) override;

@@ -88,14 +88,6 @@ struct outset_totals {
   // (add_group on a structured implementation); each also counts its n
   // waiters under `adds`.
   std::uint64_t group_adds = 0;
-  // Flat-combining instrumentation (zero outside outset:simple:fc).
-  // `combined_ops` is requests a combiner completed on behalf of OTHER
-  // threads (each also counts normally under adds/rejected_adds);
-  // `combiner_passes` is batches spliced; `fallthroughs` is operations that
-  // found no publication slot and fell back to the direct head CAS.
-  std::uint64_t combined_ops = 0;
-  std::uint64_t combiner_passes = 0;
-  std::uint64_t fallthroughs = 0;
 
   outset_totals& operator+=(const outset_totals& o) noexcept {
     adds += o.adds;
@@ -104,9 +96,6 @@ struct outset_totals {
     delivered += o.delivered;
     subtrees_offloaded += o.subtrees_offloaded;
     group_adds += o.group_adds;
-    combined_ops += o.combined_ops;
-    combiner_passes += o.combiner_passes;
-    fallthroughs += o.fallthroughs;
     return *this;
   }
 };
@@ -180,9 +169,6 @@ class outset {
     t.delivered = delivered_.load(std::memory_order_relaxed);
     t.subtrees_offloaded = subtrees_offloaded_.load(std::memory_order_relaxed);
     t.group_adds = group_adds_.load(std::memory_order_relaxed);
-    t.combined_ops = combined_ops_.load(std::memory_order_relaxed);
-    t.combiner_passes = combiner_passes_.load(std::memory_order_relaxed);
-    t.fallthroughs = fallthroughs_.load(std::memory_order_relaxed);
     return t;
   }
 
@@ -212,15 +198,6 @@ class outset {
   }
   void count_offloaded() noexcept {
     subtrees_offloaded_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_combined(std::uint32_t n) noexcept {
-    combined_ops_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void count_combiner_pass() noexcept {
-    combiner_passes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_fallthrough() noexcept {
-    fallthroughs_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Delivers an exchanged capture list to `sink`, oldest registration last
@@ -252,9 +229,6 @@ class outset {
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> subtrees_offloaded_{0};
   std::atomic<std::uint64_t> group_adds_{0};
-  std::atomic<std::uint64_t> combined_ops_{0};
-  std::atomic<std::uint64_t> combiner_passes_{0};
-  std::atomic<std::uint64_t> fallthroughs_{0};
 };
 
 }  // namespace spdag

@@ -17,13 +17,12 @@
 // (the grow-on-contention out-set tree).
 //
 // Alloc specs (hot-path memory, see make_pool_registry):
-// "pool[:block[:mag]][:adaptive]" (per-worker slab pools, the default; block
-// = upstream slab bytes, mag = per-magazine byte budget, ":adaptive" lets
-// magazine capacities resize at runtime on refill/flush ping-pong) or
-// "malloc" (passthrough baseline). The registry feeds every bookkeeping
-// allocation under this runtime: vertices, dec-pairs, future states, SNZI
-// child pairs, out-set node groups and waiter records. Between run()s,
-// trim_pools() hands fully-idle slabs back to the OS.
+// "pool[:block[:mag]]" (per-worker slab pools, the default; block = upstream
+// slab bytes, mag = per-magazine byte budget) or "malloc" (passthrough
+// baseline). The registry feeds every bookkeeping allocation under this
+// runtime: vertices, dec-pairs, future states, SNZI child pairs, out-set
+// node groups and waiter records. Between run()s, trim_pools() hands
+// fully-idle slabs back to the OS.
 
 #include <cstddef>
 #include <memory>
@@ -53,7 +52,7 @@ struct runtime_config {
   // make_outset_factory: "simple" (default) | "tree[:fanout[:threshold]]".
   std::string outset = "simple";
   // Allocation spec, see make_pool_registry:
-  // "pool[:block[:mag]][:adaptive]" (default "pool") | "malloc".
+  // "pool[:block[:mag]]" (default "pool") | "malloc".
   std::string alloc = "pool";
   // Tracing spec applied to the PROCESS-WIDE tracer before this runtime's
   // workers start: "off" | "counters" | "full[:cap]" (see obs/trace.hpp).

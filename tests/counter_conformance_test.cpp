@@ -1,6 +1,6 @@
 // Parameterized conformance suite: every dep_counter implementation must
 // satisfy the same observable contract, checked against the same script.
-// Instantiated over counter specs, including the mutex oracle.
+// Instantiated over counter specs.
 
 #include <gtest/gtest.h>
 
@@ -198,9 +198,8 @@ TEST_P(CounterConformance, ConcurrentSpawnersAndSignalers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCounters, CounterConformance,
-                         ::testing::Values("faa", "fc", "locked", "snzi:1",
-                                           "snzi:2", "snzi:4", "dyn:1",
-                                           "dyn:4", "dyn:100"),
+                         ::testing::Values("faa", "snzi:1", "snzi:2", "snzi:4",
+                                           "dyn:1", "dyn:4", "dyn:100"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& ch : name) {
@@ -211,13 +210,13 @@ INSTANTIATE_TEST_SUITE_P(AllCounters, CounterConformance,
 
 TEST(CounterFactory, ParsesSpecs) {
   EXPECT_EQ(make_counter_factory("faa")->name(), "faa");
-  EXPECT_EQ(make_counter_factory("fc")->name(), "fc");
   EXPECT_EQ(make_counter_factory("snzi:3")->name(), "snzi:3");
   EXPECT_EQ(make_counter_factory("dyn:77")->name(), "dyn:77");
-  EXPECT_EQ(make_counter_factory("locked")->name(), "locked");
   EXPECT_THROW(make_counter_factory("bogus"), std::invalid_argument);
-  // Combining fronts the flat cell only: the tree specs take numeric
-  // fields, so ":fc" must not parse onto them.
+  // There is no flat-combining ("fc") or mutex ("locked") counter: neither
+  // name parses, alone or as a suffix on the tree specs' numeric fields.
+  EXPECT_THROW(make_counter_factory("fc"), std::invalid_argument);
+  EXPECT_THROW(make_counter_factory("locked"), std::invalid_argument);
   EXPECT_THROW(make_counter_factory("snzi:fc"), std::invalid_argument);
   EXPECT_THROW(make_counter_factory("dyn:fc"), std::invalid_argument);
   EXPECT_THROW(make_counter_factory("fc:fc"), std::invalid_argument);
@@ -233,7 +232,6 @@ TEST(CounterFactory, DefaultDynThresholdFollowsPaperFormula) {
 
 TEST(CounterFactory, DisplayNamesMatchPaperLegend) {
   EXPECT_EQ(make_counter_factory("faa")->display_name(), "Fetch & Add");
-  EXPECT_EQ(make_counter_factory("fc")->display_name(), "Flat combining");
   EXPECT_EQ(make_counter_factory("snzi:4")->display_name(), "SNZI depth=4");
   EXPECT_EQ(make_counter_factory("dyn:1")->display_name(), "in-counter");
 }

@@ -199,8 +199,7 @@ TEST_P(DagEngineTest, DeepChainDoesNotRecurse) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCounters, DagEngineTest,
-                         ::testing::Values("faa", "locked", "snzi:2", "dyn:1",
-                                           "dyn:50"),
+                         ::testing::Values("faa", "snzi:2", "dyn:1", "dyn:50"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& ch : name) {

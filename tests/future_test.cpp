@@ -221,15 +221,10 @@ TEST(FutureSharing, StateIsRecycledAcrossGenerations) {
 
 // --- the acceptance criterion: zero malloc on the fork2_future hot path ---
 
-class FuturePooling : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(FuturePooling, SteadyStateChurnPerformsZeroUpstreamAllocation) {
-  const std::string alloc = GetParam();
+TEST(FuturePooling, SteadyStateChurnPerformsZeroUpstreamAllocation) {
   runtime_config cfg{2, "dyn"};
-  cfg.alloc = alloc;
   runtime rt(cfg);
-  // Warm-up rounds carve the slabs, spread the per-worker magazines, and —
-  // in adaptive mode — let the effective caps settle on this workload.
+  // Warm-up rounds carve the slabs and spread the per-worker magazines.
   for (int i = 0; i < 4; ++i) harness::future_churn(rt, 2048);
 
   // The acceptance pools: everything a fork2_future lifecycle allocates.
@@ -261,22 +256,12 @@ TEST_P(FuturePooling, SteadyStateChurnPerformsZeroUpstreamAllocation) {
   // The acceptance criterion: slab growths (trips to malloc) plateau while
   // allocs/recycles keep climbing. Cell CARVING from already-reserved slabs
   // may still trickle as work stealing redistributes magazine contents —
-  // that is pointer arithmetic, not malloc — and an adaptive cap change can
-  // shift cells between magazines and the recycle list, so the carve bound
-  // scales with the actual stranding capacity: one full magazine (clamp
-  // ceiling) per claimed thread slot per pool.
-  if (alloc.find("adaptive") != std::string::npos) {
-    // A cap that grows mid-measurement may legitimately reserve one more
-    // slab PER POOL while the magazines re-learn their depth (the delta is
-    // summed across pools); it plateaus after.
-    EXPECT_LE(after.slab_growths - warm.slab_growths,
-              static_cast<std::uint64_t>(rt.pools().rows().size()))
-        << "adaptive churn may grow at most one slab per pool past warm-up";
-  } else {
-    EXPECT_EQ(after.slab_growths, warm.slab_growths)
-        << "steady-state fork2_future churn must never reach the upstream "
-           "allocator under alloc:pool";
-  }
+  // that is pointer arithmetic, not malloc — so the carve bound scales with
+  // the actual stranding capacity: one full magazine (clamp ceiling) per
+  // claimed thread slot per pool.
+  EXPECT_EQ(after.slab_growths, warm.slab_growths)
+      << "steady-state fork2_future churn must never reach the upstream "
+         "allocator under alloc:pool";
   const std::uint64_t mag_headroom =
       static_cast<std::uint64_t>(mem::claimed_thread_slots()) *
       slab_cache::mag_cap_max *
@@ -284,21 +269,8 @@ TEST_P(FuturePooling, SteadyStateChurnPerformsZeroUpstreamAllocation) {
   EXPECT_LE(after.carved - warm.carved, mag_headroom);
   EXPECT_GT(after.allocs, warm.allocs) << "...while allocations keep flowing";
   EXPECT_GT(after.recycles, warm.recycles);
-  // live() counts handed-out cells only — magazine-resident spares after an
-  // adaptive shrink are frees, not leaks, so steady-state equality holds in
-  // both modes.
   EXPECT_EQ(after.live(), warm.live()) << "churn must not leak cells";
 }
-
-INSTANTIATE_TEST_SUITE_P(FixedAndAdaptive, FuturePooling,
-                         ::testing::Values("pool", "pool:adaptive"),
-                         [](const ::testing::TestParamInfo<std::string>& info) {
-                           std::string name = info.param;
-                           for (char& ch : name) {
-                             if (ch == ':') ch = '_';
-                           }
-                           return name;
-                         });
 
 class FutureMatrix
     : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};

@@ -280,9 +280,9 @@ TEST_P(OutsetConformance, CountersTallyAddsAndDeliveries) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOutsets, OutsetConformance,
-                         ::testing::Values("simple", "simple:fc", "tree",
-                                           "tree:4", "outset:tree:8",
-                                           "tree:2:0", "tree:2:1:4"),
+                         ::testing::Values("simple", "tree", "tree:4",
+                                           "outset:tree:8", "tree:2:0",
+                                           "tree:2:1:4"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& ch : name) {
@@ -372,14 +372,13 @@ TEST(OutsetFactory, ParsesSpecs) {
   EXPECT_EQ(make_outset_factory("tree:4")->name(), "tree:4");
   EXPECT_EQ(make_outset_factory("outset:simple")->name(), "simple");
   EXPECT_EQ(make_outset_factory("outset:tree:8")->name(), "tree:8");
-  EXPECT_EQ(make_outset_factory("simple:fc")->name(), "simple:fc");
-  EXPECT_EQ(make_outset_factory("outset:simple:fc")->name(), "simple:fc");
   EXPECT_THROW(make_outset_factory("bogus"), std::invalid_argument);
   EXPECT_THROW(make_outset_factory("tree:1"), std::invalid_argument);
   EXPECT_THROW(make_outset_factory("tree:100000"), std::invalid_argument);
-  // Combining fronts a flat head CAS; the tree already diffuses through
-  // structure, so ":fc" composes with "simple" only — on "tree" the suffix
-  // must die in the numeric field parser, not silently parse.
+  // There is no flat-combining out-set: "simple:fc" is rejected, and on
+  // "tree" the suffix must die in the numeric field parser.
+  EXPECT_THROW(make_outset_factory("simple:fc"), std::invalid_argument);
+  EXPECT_THROW(make_outset_factory("outset:simple:fc"), std::invalid_argument);
   EXPECT_THROW(make_outset_factory("tree:fc"), std::invalid_argument);
   EXPECT_THROW(make_outset_factory("tree:4:fc"), std::invalid_argument);
   EXPECT_THROW(make_outset_factory("outset:tree:fc"), std::invalid_argument);
@@ -456,8 +455,6 @@ TEST(OutsetFactory, WideFanoutGroupsFitTheSlab) {
 
 TEST(OutsetFactory, DisplayNames) {
   EXPECT_EQ(make_outset_factory("simple")->display_name(), "CAS list");
-  EXPECT_EQ(make_outset_factory("simple:fc")->display_name(),
-            "flat-combining list");
   EXPECT_EQ(make_outset_factory("tree")->display_name(), "out-set tree");
 }
 

@@ -1,11 +1,10 @@
 // Conformance suite for the hot-path memory subsystem (src/mem/): cell
 // uniqueness and alignment, exactly-one construction/destruction per
 // object, cross-worker free correctness under raw-thread storms (run under
-// TSan in CI, fixed AND adaptive magazine modes), geometry-derived magazine
-// capacities (byte budget + clamp), adaptive cap grow/shrink, quiescent
-// trim (slab release, retained() drain, double-trim no-op, engine-level
-// trim_pools), steady-state slab plateau, registry keying, and spec
-// parsing.
+// TSan in CI), geometry-derived magazine capacities (byte budget + clamp),
+// quiescent trim (slab release, retained() drain, double-trim no-op,
+// engine-level trim_pools), steady-state slab plateau, registry keying, and
+// spec parsing.
 
 #include <gtest/gtest.h>
 
@@ -100,9 +99,7 @@ TEST(SlabPool, SteadyStateChurnStopsGrowingSlabs) {
 
 // The conformance storm: raw threads allocate and free at random, with a
 // share of cells handed to ANOTHER thread for freeing (the cross-worker
-// path future completion exercises). Conservation must hold exactly, in
-// both fixed and adaptive magazine modes (the adaptive run doubles as the
-// TSan/ASan race check on the resize path).
+// path future completion exercises). Conservation must hold exactly.
 void run_cross_thread_storm(slab_pool<counted>& pool) {
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 20000;
@@ -179,47 +176,6 @@ TEST(SlabPool, CrossThreadAllocFreeStorm) {
   run_cross_thread_storm(pool);
 }
 
-TEST(SlabPool, CrossThreadAllocFreeStormAdaptive) {
-  slab_pool<counted> pool("storm_adaptive", slab_cache::default_slab_bytes,
-                          /*magazine_bytes=*/0, /*adaptive=*/true);
-  run_cross_thread_storm(pool);
-  // Whatever the walk did to the caps, they stayed inside the clamp.
-  const pool_stats s = pool.stats();
-  EXPECT_GE(s.mag_cap_lo, slab_cache::mag_cap_min);
-  EXPECT_LE(s.mag_cap_hi, pool.magazine_slots());
-}
-
-TEST(SlabPool, CrossThreadAllocFreeStormElim) {
-  // The same conservation storm with the elimination array fronting the
-  // recycle list: flushes/remote frees park cells on rendezvous slots and
-  // refills harvest them. Conservation must hold exactly AND the diffusion
-  // must actually fire; rendezvous timing is scheduler-dependent, so retry
-  // a bounded number of fresh-pool rounds before declaring it dead.
-  for (int round = 0;; ++round) {
-    slab_pool<counted> pool("storm_elim", slab_cache::default_slab_bytes,
-                            /*magazine_bytes=*/0, /*adaptive=*/false,
-                            /*elim=*/true);
-    run_cross_thread_storm(pool);
-    const pool_stats s = pool.stats();
-    // Every flush offers its top shed cell to the array, so the rendezvous
-    // was reached even when every offer spun out.
-    EXPECT_GT(s.eliminations + s.elim_timeouts, 0u)
-        << "the storm never touched the elimination array";
-    if (s.eliminations == 0 && round < 7) continue;
-    EXPECT_GT(s.eliminations, 0u)
-        << "no free/alloc pair ever rendezvoused in 8 storms";
-    // Quiescent trim must drain parked cells along with the recycle list —
-    // stats() folds occupied slots into recycle_cells, so the gauge going
-    // to zero proves the array is empty.
-    pool.trim();
-    const pool_stats t = pool.stats();
-    EXPECT_EQ(t.live(), 0u);
-    EXPECT_EQ(t.recycle_cells, 0u)
-        << "trim must drain parked elimination slots";
-    break;
-  }
-}
-
 TEST(SlabPool, OversubscribedThreadsFallBackToGlobalList) {
   // More threads than there are magazine slots cannot be spawned cheaply,
   // so exercise the bypass path directly through its primitive: a pool
@@ -265,13 +221,20 @@ TEST_P(SlabGeometry, MagazineCapHonorsByteBudgetAndClamp) {
     // ...and it binds tightly: one more cell would overflow the budget.
     EXPECT_GT((slots + 1) * pool.cell_stride(), budget);
   }
-  // Fixed mode pins every magazine's effective cap at the derived slots.
-  void* p = pool.allocate();
-  pool.deallocate(p);
-  const pool_stats s = pool.stats();
-  EXPECT_EQ(s.mag_cap_lo, slots);
-  EXPECT_EQ(s.mag_cap_hi, slots);
-  EXPECT_EQ(pool.magazine_initial_cap(), slots);
+  // A magazine holds exactly `slots` cells: the free that finds it full
+  // flushes it down to half before parking its own cell. magazine_cells is
+  // exact on a single thread.
+  std::vector<void*> cells;
+  for (std::uint32_t i = 0; i <= slots; ++i) cells.push_back(pool.allocate());
+  pool.trim();  // empties the magazine; the held cells stay live
+  for (std::uint32_t i = 0; i < slots; ++i) pool.deallocate(cells[i]);
+  pool_stats s = pool.stats();
+  EXPECT_EQ(s.magazine_cells, slots);
+  EXPECT_EQ(s.magazine_flushes, 0u);
+  pool.deallocate(cells[slots]);
+  s = pool.stats();
+  EXPECT_EQ(s.magazine_flushes, 1u);
+  EXPECT_EQ(s.magazine_cells, slots / 2 + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(EightBToFiveTwelveB, SlabGeometry,
@@ -288,69 +251,6 @@ TEST(SlabGeometry, CustomMagazineBudgetIsHonored) {
   slab_cache tiny("tiny", 64, 8, slab_cache::default_slab_bytes,
                   /*magazine_bytes=*/256);
   EXPECT_EQ(tiny.magazine_slots(), slab_cache::mag_cap_min);
-}
-
-// --- adaptive effective capacity ---------------------------------------------
-
-TEST(SlabPoolAdaptive, CapGrowsUnderBurstAndShrinksWhenQuiet) {
-  slab_pool<counted> pool("adapt", slab_cache::default_slab_bytes,
-                          /*magazine_bytes=*/0, /*adaptive=*/true);
-  const std::uint32_t slots = pool.magazine_slots();
-  const std::uint32_t cap0 = pool.magazine_initial_cap();
-  ASSERT_LT(cap0, slots) << "adaptive pools must start with grow head-room";
-  ASSERT_GE(cap0, slab_cache::mag_cap_min);
-
-  // Burst: a monotone allocation streak refills every cap/2 ops, so every
-  // inter-trip gap is below the cap — the ping-pong signal — and the
-  // effective capacity climbs to the storage bound.
-  std::vector<counted*> live;
-  for (std::uint32_t i = 0; i < 10 * slots; ++i) live.push_back(pool.create());
-  {
-    const pool_stats s = pool.stats();
-    EXPECT_EQ(s.mag_cap_hi, slots) << "burst traffic must max the cap";
-    EXPECT_GT(s.mag_grows, 0u);
-    EXPECT_EQ(s.mag_shrinks, 0u);
-  }
-
-  // Quiet: normalize the magazine to a known 20-cell fill (creates pop,
-  // destroys push; neither touches a boundary from here), then run paired
-  // alloc/free traffic that never hits empty or full — no refill, no
-  // flush, just a long inter-trip gap accumulating. magazine_cells is
-  // exact on a single thread.
-  std::uint64_t fill = pool.stats().magazine_cells;
-  while (fill > 20) {
-    live.push_back(pool.create());
-    --fill;
-  }
-  while (fill < 20) {
-    pool.destroy(live.back());
-    live.pop_back();
-    ++fill;
-  }
-  for (std::uint32_t i = 0; i < 64u * slots + slots; ++i) {
-    counted* c = pool.create();
-    pool.destroy(c);
-  }
-  // The next flush (a free streak filling the magazine from its 20-cell
-  // fill to the cap) observes the long gap and halves the cap. The streak
-  // stops just past the flush point: running it further would fill the
-  // SHRUNK magazine and re-grow on the second flush's short gap — which is
-  // the hysteresis working, but not what this assertion wants to see.
-  for (std::uint32_t i = 0; i < slots - 20 + 3; ++i) {
-    pool.destroy(live.back());
-    live.pop_back();
-  }
-  {
-    const pool_stats s = pool.stats();
-    EXPECT_GT(s.mag_shrinks, 0u) << "a quiet magazine must give cells back";
-    EXPECT_LT(s.mag_cap_hi, slots);
-    EXPECT_GE(s.mag_cap_lo, slab_cache::mag_cap_min);
-  }
-
-  for (counted* c : live) pool.destroy(c);
-  const pool_stats s = pool.stats();
-  EXPECT_EQ(s.allocs, s.frees);
-  EXPECT_EQ(s.live(), 0u);
 }
 
 // --- quiescent trim ----------------------------------------------------------
@@ -489,23 +389,14 @@ TEST(PoolRegistry, SpecParsing) {
   EXPECT_EQ(make_pool_registry("pool")->spec(), "pool");
   EXPECT_EQ(make_pool_registry("pool:65536")->spec(), "pool:65536");
   EXPECT_EQ(make_pool_registry("alloc:pool:8192")->spec(), "pool:8192");
-  // The magazine-budget field and the adaptive marker.
+  // The magazine-budget field.
   EXPECT_EQ(make_pool_registry("pool:65536:4096")->spec(), "pool:65536:4096");
-  EXPECT_EQ(make_pool_registry("pool:adaptive")->spec(), "pool:adaptive");
-  EXPECT_EQ(make_pool_registry("alloc:pool:8192:adaptive")->spec(),
-            "pool:8192:adaptive");
-  EXPECT_EQ(make_pool_registry("pool:65536:512:adaptive")->spec(),
-            "pool:65536:512:adaptive");
-  // The elimination marker composes with every pool form (it is a flag
-  // like "adaptive", order-independent between the two).
-  EXPECT_EQ(make_pool_registry("pool:elim")->spec(), "pool:elim");
-  EXPECT_EQ(make_pool_registry("alloc:pool:elim")->spec(), "pool:elim");
-  EXPECT_EQ(make_pool_registry("pool:8192:elim")->spec(), "pool:8192:elim");
-  EXPECT_EQ(make_pool_registry("pool:adaptive:elim")->spec(),
-            "pool:adaptive:elim");
-  EXPECT_EQ(make_pool_registry("pool:elim:adaptive")->spec(),
-            "pool:adaptive:elim")
-      << "spec() echoes flags in canonical order";
+  // "adaptive" and "elim" are not pool fields.
+  EXPECT_THROW(make_pool_registry("pool:adaptive"), std::invalid_argument);
+  EXPECT_THROW(make_pool_registry("pool:elim"), std::invalid_argument);
+  EXPECT_THROW(make_pool_registry("pool:8192:elim"), std::invalid_argument);
+  EXPECT_THROW(make_pool_registry("pool:adaptive:elim"),
+               std::invalid_argument);
   EXPECT_THROW(make_pool_registry("bogus"), std::invalid_argument);
   EXPECT_THROW(make_pool_registry("pool:64"), std::invalid_argument);
   EXPECT_THROW(make_pool_registry("pool:999999999"), std::invalid_argument);
@@ -516,38 +407,18 @@ TEST(PoolRegistry, SpecParsing) {
   EXPECT_THROW(make_pool_registry("pool:8192kb"), std::invalid_argument);
   EXPECT_THROW(make_pool_registry("pool:-8192"), std::invalid_argument);
   EXPECT_THROW(make_pool_registry("pool:"), std::invalid_argument);
-  // Magazine rails, field-count cap, and the adaptive marker's position
-  // (last field only — "adaptive" is a flag, not a positional value).
+  // Magazine rails and the field-count cap.
   EXPECT_THROW(make_pool_registry("pool:65536:64"), std::invalid_argument);
   EXPECT_THROW(make_pool_registry("pool:65536:9999999"),
                std::invalid_argument);
-  EXPECT_THROW(make_pool_registry("pool:65536:4096:64:adaptive"),
-               std::invalid_argument);
-  EXPECT_THROW(make_pool_registry("pool:adaptive:65536"),
-               std::invalid_argument);
-  EXPECT_THROW(make_pool_registry("pool:65536:adaptive:adaptive"),
+  EXPECT_THROW(make_pool_registry("pool:65536:4096:64"),
                std::invalid_argument);
   EXPECT_THROW(make_pool_registry("pool:65536:"), std::invalid_argument);
-  // The elimination flag is a POOL feature: malloc has no recycle list to
-  // front, and like "adaptive" it may appear at most once.
-  EXPECT_THROW(make_pool_registry("malloc:elim"), std::invalid_argument);
-  EXPECT_THROW(make_pool_registry("alloc:malloc:elim"), std::invalid_argument);
-  EXPECT_THROW(make_pool_registry("pool:elim:elim"), std::invalid_argument);
-  EXPECT_THROW(make_pool_registry("pool:elim:65536"), std::invalid_argument);
-}
-
-TEST(PoolRegistry, AdaptiveSpecBuildsAdaptivePools) {
-  auto reg = make_pool_registry("pool:65536:1024:adaptive");
+  // The budget field reaches the pools the registry builds.
+  auto reg = make_pool_registry("pool:65536:1024");
   auto* pool = dynamic_cast<slab_cache*>(&reg->get("x", 64, 8));
   ASSERT_NE(pool, nullptr);
-  EXPECT_TRUE(pool->adaptive());
   EXPECT_EQ(pool->magazine_slots(), 12u);  // 1024 / (16 hdr + 64) = 12
-  EXPECT_LT(pool->magazine_initial_cap(), pool->magazine_slots());
-  auto fixed = make_pool_registry("pool");
-  auto* fpool = dynamic_cast<slab_cache*>(&fixed->get("x", 64, 8));
-  ASSERT_NE(fpool, nullptr);
-  EXPECT_FALSE(fpool->adaptive());
-  EXPECT_EQ(fpool->magazine_initial_cap(), fpool->magazine_slots());
 }
 
 TEST(PoolRegistry, MallocRegistryServesWorkingPools) {
