@@ -27,8 +27,9 @@
 // so burst frees overflow the per-worker magazines onto the global recycle
 // list where trim_live() can see whole slabs drain. That demonstrates the
 // epoch reclamation path end to end — busy_trims / slabs_retired /
-// slabs_reclaimed ride in `extra` next to epoch_enabled, and the CI gate
-// asserts that under sustained load some slabs actually made the full
+// slabs_reclaimed ride in `extra` next to busy_trim_every, and whenever
+// that cadence is nonzero the CI gate asserts that every record ran busy
+// trims and that under sustained load some slabs actually made the full
 // retire -> 2-epoch-delay -> reclaim trip while submissions were in flight
 // (the dispatcher never trims outside its dispatch loop). Default-geometry
 // behaviour (big magazines strand cells; see the ROADMAP carry-over on
@@ -52,7 +53,6 @@
 #include <vector>
 
 #include "harness/bench_runner.hpp"
-#include "mem/epoch.hpp"
 #include "obs/trace.hpp"
 #include "sched/runtime.hpp"
 #include "service/service.hpp"
@@ -201,8 +201,8 @@ void register_config(const std::string& sched_spec, std::size_t clients,
                              static_cast<double>(s.slabs_reclaimed));
       rec.extra.emplace_back("queue_full_rejects",
                              static_cast<double>(s.queue_full_rejects));
-      rec.extra.emplace_back("epoch_enabled",
-                             mem::epoch::enabled() ? 1.0 : 0.0);
+      rec.extra.emplace_back("busy_trim_every",
+                             static_cast<double>(busy_trim));
       rec.extra.emplace_back("peak_inflight",
                              static_cast<double>(s.peak_inflight));
       harness::json_add(std::move(rec));
@@ -239,10 +239,10 @@ int main(int argc, char** argv) {
   std::printf(
       "# service: open-loop Poisson-ish arrivals into a resident dag_service; "
       "n=%llu per rep, workers=%zu, runs=%d, mean_gap=%.0fns, cap=%zu, "
-      "busytrim=%zu (epoch %s); "
+      "busytrim=%zu; "
       "acceptance: completed == submitted - rejected, finite p99\n",
       static_cast<unsigned long long>(common.n), common.max_proc, common.runs,
-      mean_gap_ns, cap, busy_trim, mem::epoch::enabled() ? "on" : "off");
+      mean_gap_ns, cap, busy_trim);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

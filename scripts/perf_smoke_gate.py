@@ -14,19 +14,13 @@ with `trace:off`) is compared against a second future_churn document from a
 per-proc "pool" throughput ratios must stay within --max-trace-overhead
 (default 3%) of the compiled-out build.
 
-With --epoch-compare, enforces the same bounded-overhead claim for the
-epoch-based reclamation layer (src/mem/epoch.hpp): the main document
-(epoch compiled in — worker loops pin/refresh/tick) against a future_churn
-document from a -DSPDAG_EPOCH=OFF build. Budget --max-epoch-overhead
-(default 3% geomean).
-
 With --service, additionally sanity-gates the dag_service traffic bench
 (BENCH_service_traffic.json): every service/<sched>/clients:<c> record must
 conserve submissions (completed == submitted - rejected, completed > 0),
 report a finite positive sojourn p99 and a positive completion rate. When
-the records were produced by an epoch-enabled build (extra.epoch_enabled),
-each must also show busy trims actually firing, and ACROSS the document
-some slabs must have made the full retire -> reclaim trip — the
+the records ran with a busy-trim cadence (extra.busy_trim_every > 0), each
+must also show busy trims actually firing, and ACROSS the document some
+slabs must have made the full retire -> reclaim trip — the
 busy-trim-under-load acceptance (the dispatcher only trims inside its
 dispatch loop, so a nonzero count proves reclamation under live traffic).
 This is a correctness gate, not a throughput gate — service rates depend on
@@ -42,18 +36,16 @@ sit at exactly 1.0 (small tolerance for float serialization) — unbatched
 execution pays one inc + one dec per edge by construction.
 
 With --selftest, runs the embedded good/bad/malformed fixture documents
-through every gate (churn pool/malloc ratio, trace/epoch overhead compare,
-service, apps) and exits nonzero if any gate passes a bad
-fixture or fails a good one — run this FIRST in CI so a refactor of this
-script cannot silently pass everything.
+through every gate (churn pool/malloc ratio, trace overhead compare,
+service with and without busy trim, apps) and exits nonzero if any gate
+passes a bad fixture or fails a good one — run this FIRST in CI so a
+refactor of this script cannot silently pass everything.
 
 Exit codes: 0 pass, 1 perf regression, 2 malformed/unusable input.
 
 Usage: perf_smoke_gate.py BENCH_future_churn.json [--min-ratio 0.9]
            [--trace-compare BENCH_future_churn_notrace.json]
            [--max-trace-overhead 0.03]
-           [--epoch-compare BENCH_future_churn_noepoch.json]
-           [--max-epoch-overhead 0.03]
            [--service BENCH_service_traffic.json]
            [--apps BENCH_apps.json]
        perf_smoke_gate.py --selftest
@@ -94,9 +86,9 @@ def churn_pool_rates(doc):
 def overhead_gate(doc, compare_path, max_overhead, label):
     """True when the main run keeps up with the feature-compiled-out build.
 
-    Shared by --trace-compare and --epoch-compare: both assert that a
-    compile-time-removable layer costs at most `max_overhead` (geomean of
-    per-proc pool-throughput ratios) when compiled in.
+    Used by --trace-compare: asserts that a compile-time-removable layer
+    costs at most `max_overhead` (geomean of per-proc pool-throughput
+    ratios) when compiled in.
     """
     stripped = load(compare_path)
     enabled = churn_pool_rates(doc)
@@ -126,7 +118,7 @@ def service_gate(path):
     doc = load(path)
     checked = 0
     ok = True
-    epoch_records = 0
+    busy_records = 0
     total_reclaimed = 0.0
     total_retired = 0.0
     for rec in doc["records"]:
@@ -151,8 +143,8 @@ def service_gate(path):
             problems.append(f"sojourn p99 not finite/positive: {p99}")
         if not (math.isfinite(rate) and rate > 0):
             problems.append(f"ops_per_s not finite/positive: {rate}")
-        if extra.get("epoch_enabled", 0) > 0:
-            epoch_records += 1
+        if extra.get("busy_trim_every", 0) > 0:
+            busy_records += 1
             busy_trims = extra.get("busy_trims", 0)
             total_retired += extra.get("slabs_retired", 0)
             total_reclaimed += extra.get("slabs_reclaimed", 0)
@@ -160,7 +152,7 @@ def service_gate(path):
             # trims per record; slab yield varies with traffic shape, so
             # the retire/reclaim assertion is document-wide, below.
             if busy_trims <= 0:
-                problems.append("epoch enabled but busy_trims == 0")
+                problems.append("busy trim on but busy_trims == 0")
         verdict = "ok" if not problems else "FAIL: " + "; ".join(problems)
         print(f"  {name}: completed {completed:,.0f}/{submitted:,.0f} "
               f"@ {rate:,.0f}/s, sojourn p99 {p99:.3f}ms [{verdict}]")
@@ -170,14 +162,14 @@ def service_gate(path):
         print(f"perf_smoke_gate: no service/ records in {path}",
               file=sys.stderr)
         sys.exit(2)
-    if epoch_records > 0:
+    if busy_records > 0:
         reclaim_ok = total_reclaimed > 0
         verdict = "ok" if reclaim_ok else "FAIL"
         print(f"  busy-trim acceptance: slabs retired {total_retired:.0f}, "
-              f"reclaimed {total_reclaimed:.0f} across {epoch_records} "
-              f"epoch-enabled records [{verdict}]")
+              f"reclaimed {total_reclaimed:.0f} across {busy_records} "
+              f"busy-trim records [{verdict}]")
         if not reclaim_ok:
-            print("perf_smoke_gate: epoch-enabled service never reclaimed a "
+            print("perf_smoke_gate: busy-trimming service never reclaimed a "
                   "slab under load — busy trim is not doing its job",
                   file=sys.stderr)
             ok = False
@@ -286,11 +278,19 @@ def _churn_rec(spec, proc, rate):
             "ops_per_s": rate}
 
 
-def _service_rec(completed, submitted, rejected=0, p99=1.0, rate=100.0):
-    return {"name": "service/default/clients:2", "proc": 2, "ops_per_s": rate,
-            "lat_p99_ms": p99,
-            "extra": {"submitted": submitted, "rejected": rejected,
-                      "completed": completed}}
+def _service_rec(completed, submitted, rejected=0, p99=1.0, rate=100.0,
+                 busy=None):
+    """busy = (busy_trims, slabs_retired, slabs_reclaimed) marks a record
+    that ran with a busy-trim cadence."""
+    rec = {"name": "service/default/clients:2", "proc": 2, "ops_per_s": rate,
+           "lat_p99_ms": p99,
+           "extra": {"submitted": submitted, "rejected": rejected,
+                     "completed": completed}}
+    if busy is not None:
+        trims, retired, reclaimed = busy
+        rec["extra"].update(busy_trim_every=32, busy_trims=trims,
+                            slabs_retired=retired, slabs_reclaimed=reclaimed)
+    return rec
 
 
 def _app_rec(batch, ratio, completed=100, spawned=100, p99=1.0, rate=100.0):
@@ -336,7 +336,7 @@ def selftest():
         expect("churn malformed", "exit2",
                lambda: churn_gate(load(truncated), 0.9))
 
-        # trace/epoch overhead compare (same code path for both flags)
+        # trace overhead compare
         flat = write("flat.json", churn_good)
         slow = _fixture([_churn_rec("malloc", 1, 100.0),
                          _churn_rec("pool", 1, 60.0)])
@@ -355,6 +355,18 @@ def selftest():
         svc_bad = write("svc_bad.json", _fixture([_service_rec(90, 100)]))
         expect("service good", "pass", lambda: service_gate(svc_good))
         expect("service bad", "fail", lambda: service_gate(svc_bad))
+        busy_good = write("busy_good.json", _fixture(
+            [_service_rec(100, 100, busy=(4, 3, 2))]))
+        busy_idle = write("busy_idle.json", _fixture(
+            [_service_rec(100, 100, busy=(0, 0, 0))]))
+        busy_stuck = write("busy_stuck.json", _fixture(
+            [_service_rec(100, 100, busy=(4, 3, 0))]))
+        expect("service busy trim reclaimed", "pass",
+               lambda: service_gate(busy_good))
+        expect("service busy trim never fired", "fail",
+               lambda: service_gate(busy_idle))
+        expect("service busy trim never reclaimed", "fail",
+               lambda: service_gate(busy_stuck))
         expect("service empty", "exit2", lambda: service_gate(empty))
         expect("service malformed", "exit2", lambda: service_gate(truncated))
 
@@ -392,13 +404,6 @@ def main():
     ap.add_argument("--max-trace-overhead", type=float, default=0.03,
                     help="max geomean throughput loss of trace:off vs the "
                          "compiled-out build (default 0.03)")
-    ap.add_argument("--epoch-compare", metavar="NOEPOCH_JSON", default=None,
-                    help="future_churn document from a -DSPDAG_EPOCH=OFF "
-                         "build; bounds the pin/refresh/tick overhead of "
-                         "the epoch reclamation layer")
-    ap.add_argument("--max-epoch-overhead", type=float, default=0.03,
-                    help="max geomean throughput loss of the epoch-enabled "
-                         "build vs the compiled-out one (default 0.03)")
     ap.add_argument("--service", metavar="SERVICE_JSON", default=None,
                     help="service_traffic document; sanity-gates the "
                          "dag_service records (conservation + finite p99)")
@@ -438,13 +443,6 @@ def main():
                              args.max_trace_overhead, "trace:off"):
             print(f"perf_smoke_gate: FAIL - trace:off lost more than "
                   f"{args.max_trace_overhead:.0%} vs the compiled-out build",
-                  file=sys.stderr)
-            sys.exit(1)
-    if args.epoch_compare is not None:
-        if not overhead_gate(doc, args.epoch_compare,
-                             args.max_epoch_overhead, "epoch-on"):
-            print(f"perf_smoke_gate: FAIL - the epoch layer cost more than "
-                  f"{args.max_epoch_overhead:.0%} vs the compiled-out build",
                   file=sys.stderr)
             sys.exit(1)
     if failed:

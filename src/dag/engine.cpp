@@ -54,10 +54,11 @@ void dag_engine::enqueue_drain(outset_drain_task* t) {
 }
 
 std::size_t dag_engine::trim_pools() {
-  assert(live_vertices() == 0 &&
+  std::size_t released = 0;
+  [[maybe_unused]] const bool quiescent = try_trim_pools(&released);
+  assert(quiescent &&
          "trim_pools requires quiescence: call only between run()s");
-  obs::span_guard sg(obs::sp_trim);
-  return pools_->trim();
+  return released;
 }
 
 bool dag_engine::try_trim_pools(std::size_t* slabs_released) {

@@ -204,7 +204,7 @@ class dag_engine {
   // is strictly weaker than trim_pools() but needs no quiescence window at
   // all. Returns slabs retired this call; `*slabs_reclaimed` (if non-null)
   // receives how many limbo slabs the accompanying reclaim sweep actually
-  // freed. A no-op returning 0 when the epoch layer is compiled out.
+  // freed.
   std::size_t trim_pools_live(std::size_t* slabs_reclaimed = nullptr);
 
   // Runs v's body with this-vertex context, signals if v is not dead, and

@@ -59,9 +59,7 @@ void publish_lag(std::int64_t lag) noexcept {
 
 }  // namespace
 
-namespace detail {
-
-void pin_slow() noexcept {
+void pin() noexcept {
   const int slot = thread_slot();
   if (slot < 0) {
     if (tl_anon_depth++ == 0) {
@@ -85,7 +83,7 @@ void pin_slow() noexcept {
   }
 }
 
-void unpin_slow() noexcept {
+void unpin() noexcept {
   const int slot = thread_slot();
   if (slot < 0) {
     assert(tl_anon_depth > 0 && "epoch unpin without matching pin");
@@ -101,7 +99,7 @@ void unpin_slow() noexcept {
   }
 }
 
-void refresh_slow() noexcept {
+void refresh() noexcept {
   const int slot = thread_slot();
   if (slot < 0) return;  // anonymous pins have nothing to republish
   slot_record& r = g_records[slot];
@@ -111,8 +109,8 @@ void refresh_slow() noexcept {
   r.epoch.store(e, std::memory_order_seq_cst);
 }
 
-void tick_slow() noexcept {
-  refresh_slow();
+void tick() noexcept {
+  refresh();
   // Nothing waiting: refresh alone keeps this thread from ever becoming
   // the laggard, and there is no reclamation to drive.
   if (g_limbo_count.load(std::memory_order_relaxed) == 0) return;
@@ -121,20 +119,17 @@ void tick_slow() noexcept {
   reclaim();
 }
 
-bool pinned_slow() noexcept {
+bool pinned() noexcept {
   const int slot = thread_slot();
   if (slot < 0) return tl_anon_depth > 0;
   return g_records[slot].depth > 0;
 }
-
-}  // namespace detail
 
 std::uint64_t current() noexcept {
   return g_epoch.load(std::memory_order_seq_cst);
 }
 
 bool try_advance() noexcept {
-  if (!enabled()) return false;
   std::unique_lock<std::mutex> lk(g_advance_mu, std::try_to_lock);
   if (!lk.owns_lock()) return false;  // someone else is scanning
   const std::uint64_t e = g_epoch.load(std::memory_order_seq_cst);
@@ -158,13 +153,6 @@ bool try_advance() noexcept {
 }
 
 void retire(reclaim_fn fn, void* a, void* b) noexcept {
-  if (!enabled()) {
-    // Compiled out: nobody pins, so deferral would never resolve. The
-    // caller's contract (memory already unreachable) makes immediate
-    // reclamation the only correct reading.
-    fn(a, b);
-    return;
-  }
   const std::uint64_t e = g_epoch.load(std::memory_order_seq_cst);
   std::lock_guard<std::mutex> lk(g_limbo_mu);
   g_limbo.push_back(limbo_item{fn, a, b, e});

@@ -43,72 +43,32 @@
 // communication points (communicate() in private-deque, idle transitions in
 // ws), so advancement needs no dedicated thread.
 //
-// Compile-time kill switch: -DSPDAG_EPOCH=OFF (SPDAG_EPOCH_ENABLED=0)
-// compiles every hook below to nothing, trim_live() refuses, and the
-// quiescent-only trim path is all that remains — the A/B baseline the CI
-// epoch-compare gate measures against (mirrors SPDAG_TRACE).
+// Quiescent trim() is the protocol's degenerate case (no pinned reader to
+// wait for, so it frees at once), not a second regime.
 
 #include <cstddef>
 #include <cstdint>
 
-#ifndef SPDAG_EPOCH_ENABLED
-#define SPDAG_EPOCH_ENABLED 1
-#endif
-
 namespace spdag::mem::epoch {
-
-// True when the subsystem is compiled in at all.
-constexpr bool enabled() noexcept { return SPDAG_EPOCH_ENABLED != 0; }
-
-namespace detail {
-void pin_slow() noexcept;
-void unpin_slow() noexcept;
-void refresh_slow() noexcept;
-void tick_slow() noexcept;
-bool pinned_slow() noexcept;
-}  // namespace detail
 
 // Enter a pinned region (reentrant: nested pins are counted, the outermost
 // pair publishes/retracts the record). While pinned, recycled pool cells
 // this thread can still reach are guaranteed mapped.
-inline void pin() noexcept {
-#if SPDAG_EPOCH_ENABLED
-  detail::pin_slow();
-#endif
-}
-
-inline void unpin() noexcept {
-#if SPDAG_EPOCH_ENABLED
-  detail::unpin_slow();
-#endif
-}
+void pin() noexcept;
+void unpin() noexcept;
 
 // Republish the current global epoch on this thread's record. ONLY legal at
 // a point where the thread holds no stale pool pointers (e.g. the top of a
 // worker-loop iteration); that is exactly the proof obligation the 2-epoch
 // delay cashes in. Two relaxed loads when the global epoch has not moved.
-inline void refresh() noexcept {
-#if SPDAG_EPOCH_ENABLED
-  detail::refresh_slow();
-#endif
-}
+void refresh() noexcept;
 
 // refresh() + occasionally (gated, only while limbo is non-empty) one
 // advance/reclaim sweep. Call at scheduler communication points.
-inline void tick() noexcept {
-#if SPDAG_EPOCH_ENABLED
-  detail::tick_slow();
-#endif
-}
+void tick() noexcept;
 
 // Whether the calling thread currently holds a pin (tests/diagnostics).
-inline bool pinned() noexcept {
-#if SPDAG_EPOCH_ENABLED
-  return detail::pinned_slow();
-#else
-  return false;
-#endif
-}
+bool pinned() noexcept;
 
 // Current global epoch.
 std::uint64_t current() noexcept;
@@ -120,9 +80,9 @@ bool try_advance() noexcept;
 
 // Deferred destruction: fn(a, b) runs once the global epoch has advanced
 // twice past the epoch current at the time of this call. The callback must
-// be noexcept and must not itself call retire()/reclaim(). With the
-// subsystem compiled out, fn runs immediately (callers are expected to gate
-// on enabled() and only retire memory no longer reachable).
+// be noexcept and must not itself call retire()/reclaim(), and the memory
+// it frees must already be unreachable for any thread that pins after this
+// call.
 using reclaim_fn = void (*)(void* a, void* b) noexcept;
 void retire(reclaim_fn fn, void* a, void* b) noexcept;
 

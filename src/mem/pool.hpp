@@ -52,11 +52,12 @@ struct pool_stats {
   std::uint64_t slab_growths = 0;   // trips to the upstream allocator
   std::uint64_t magazine_refills = 0;
   std::uint64_t magazine_flushes = 0;
-  std::uint64_t trims = 0;          // trim() calls
-  std::uint64_t slabs_released = 0; // fully-free slabs returned upstream
-  std::uint64_t cells_released = 0; // cells whose storage trim() returned
-                                    // upstream (they leave the carved
-                                    // population for good)
+  std::uint64_t trims = 0;          // trim() and trim_live() calls
+  std::uint64_t slabs_released = 0; // fully-free slabs trim() returned
+                                    // upstream at once
+  std::uint64_t cells_released = 0; // cells of slabs trim() released or
+                                    // trim_live() retired (they leave the
+                                    // carved population for good)
   std::uint64_t slabs_retired = 0;  // fully-free slabs trim_live() parked in
                                     // epoch limbo (epoch reclamation)
   std::uint64_t slabs_reclaimed = 0;// limbo slabs actually freed after the
@@ -140,14 +141,12 @@ class object_pool {
   // simply pin their slab. Safety, in epoch terms (src/mem/epoch.hpp): at
   // quiescence no thread is pinned, so there is no reader the 2-epoch delay
   // would have to wait for — trim may skip limbo and free immediately. This
-  // is the degenerate case of the protocol, not a separate argument, and it
-  // is all that remains when the epoch layer is compiled out
-  // (-DSPDAG_EPOCH=OFF). Default: nothing pooled, nothing to release.
+  // is the degenerate case of the protocol, not a separate argument.
+  // Default: nothing pooled, nothing to release.
   virtual std::size_t trim() { return 0; }
 
   // Live-traffic maintenance, legal under concurrent allocate()/deallocate()
-  // traffic (requires the epoch subsystem; returns 0 when it is compiled
-  // out). Drains the global recycle list, and every slab whose cells all
+  // traffic. Drains the global recycle list, and every slab whose cells all
   // turned out to be free is RETIRED into epoch limbo rather than freed —
   // epoch::reclaim() frees it once two epoch advances prove no pinned
   // reader can still hold a stale pointer into it. Magazines are left

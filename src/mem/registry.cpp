@@ -46,41 +46,31 @@ std::size_t pool_registry::trim() {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& p : pools_) released += p->trim();
   }
-  if (mem::epoch::enabled()) {
-    // At quiescence no OTHER thread is pinned, so both advances succeed and
-    // whatever an earlier live trim parked in limbo becomes reclaimable.
-    // The caller itself may hold a loop-scoped pin (the service dispatcher
-    // does) — it holds no stale pointers here, so refreshing its own record
-    // between the advances keeps it from being the laggard that blocks the
-    // second one.
-    mem::epoch::try_advance();
-    mem::epoch::refresh();
-    mem::epoch::try_advance();
-    released += mem::epoch::reclaim();
-  }
+  // At quiescence no OTHER thread is pinned, so both advances succeed and
+  // whatever an earlier live trim parked in limbo becomes reclaimable. The
+  // caller itself may hold a loop-scoped pin (the service dispatcher does)
+  // — it holds no stale pointers here, so refreshing its own record between
+  // the advances keeps it from being the laggard that blocks the second one.
+  mem::epoch::try_advance();
+  mem::epoch::refresh();
+  mem::epoch::try_advance();
+  released += mem::epoch::reclaim();
   return released;
 }
 
 std::size_t pool_registry::trim_live(std::size_t* reclaimed) {
   std::size_t retired = 0;
-  if (mem::epoch::enabled()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& p : pools_) retired += p->trim_live();
-    }
-    // The caller holds no stale pointers at this boundary (trim_live's own
-    // pins are scoped inside the drain); republish its record so a
-    // loop-pinned caller never blocks the very advance it is driving.
-    mem::epoch::refresh();
-    mem::epoch::try_advance();
-    if (reclaimed != nullptr) {
-      *reclaimed = mem::epoch::reclaim();
-    } else {
-      mem::epoch::reclaim();
-    }
-  } else if (reclaimed != nullptr) {
-    *reclaimed = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& p : pools_) retired += p->trim_live();
   }
+  // The caller holds no stale pointers at this boundary (trim_live's own
+  // pins are scoped inside the drain); republish its record so a
+  // loop-pinned caller never blocks the very advance it is driving.
+  mem::epoch::refresh();
+  mem::epoch::try_advance();
+  const std::size_t freed = mem::epoch::reclaim();
+  if (reclaimed != nullptr) *reclaimed = freed;
   return retired;
 }
 

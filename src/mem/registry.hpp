@@ -70,7 +70,6 @@ class pool_registry {
   // advance + reclaim sweep. Returns the number of slabs retired this call;
   // `reclaimed`, when non-null, receives how many limbo slabs (from any
   // earlier retire on this process's epoch domain) were actually freed.
-  // Returns 0 with the epoch subsystem compiled out.
   std::size_t trim_live(std::size_t* reclaimed = nullptr);
 
   // The spec string this registry was built from ("malloc", "pool", ...).

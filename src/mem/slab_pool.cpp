@@ -277,7 +277,7 @@ std::size_t slab_cache::trim() {
   trims_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(grow_mu_);
 
-  // 1. Empty every magazine into a scratch list.
+  // Empty every magazine, then drain the global recycle list.
   std::vector<void*> free_cells;
   for (auto& slot : mags_) {
     magazine* m = slot.load(std::memory_order_acquire);
@@ -287,105 +287,26 @@ std::size_t slab_cache::trim() {
     for (std::uint32_t i = 0; i < cnt; ++i) free_cells.push_back(items[i]);
     m->count.store(0, std::memory_order_relaxed);
   }
-
-  // 2. Drain the global recycle list.
   for (void* p = pop_global(); p != nullptr; p = pop_global()) {
     free_cells.push_back(p);
   }
-  if (slabs_.empty()) return 0;
-
-  // 3. Per-slab occupancy: a slab whose every carved cell is in the free
-  //    set owes nothing to any live pointer and can go back upstream. Cells
-  //    don't record their slab, so locate each by address range.
-  std::vector<char*> bases;
-  bases.reserve(slabs_.size());
-  for (void* s : slabs_) bases.push_back(static_cast<char*>(s));
-  std::sort(bases.begin(), bases.end());
-  auto slab_index = [&](void* cell) {
-    auto it = std::upper_bound(bases.begin(), bases.end(),
-                               static_cast<char*>(cell));
-    return static_cast<std::size_t>(it - bases.begin()) - 1;
-  };
-  std::vector<std::size_t> freed(bases.size(), 0);
-  for (void* c : free_cells) ++freed[slab_index(c)];
-
-  // Every slab is fully carved except the one the cursor still points into.
-  const std::size_t cells_per_slab = slab_bytes_ / stride_;
-  const char* cursor_base =
-      cursor_ == nullptr ? nullptr : static_cast<char*>(slabs_.back());
-  std::vector<char> release(bases.size(), 0);
-  std::size_t released = 0;
-  std::size_t released_cells = 0;
-  for (std::size_t i = 0; i < bases.size(); ++i) {
-    const std::size_t carved_here =
-        bases[i] == cursor_base
-            ? static_cast<std::size_t>(cursor_ - bases[i]) / stride_
-            : cells_per_slab;
-    release[i] = freed[i] == carved_here ? 1 : 0;
-    released += release[i];
-    if (release[i]) released_cells += carved_here;
-  }
-
-  // 4. Cells in retained slabs (pinned by live neighbors) go back onto the
-  //    global recycle list as one chain; cells in released slabs vanish
-  //    with their storage.
-  void* head = nullptr;
-  void* tail = nullptr;
-  std::uint32_t kept_cells = 0;
-  for (void* c : free_cells) {
-    if (release[slab_index(c)]) continue;
-    link_of(c)->store(head, std::memory_order_relaxed);
-    if (head == nullptr) tail = c;
-    head = c;
-    ++kept_cells;
-  }
-  if (kept_cells > 0) push_global(head, tail, kept_cells);
-
-  // 5. Return the free slabs upstream.
-  if (released > 0) {
-    std::vector<void*> kept;
-    kept.reserve(slabs_.size() - released);
-    for (void* s : slabs_) {
-      const std::size_t i = static_cast<std::size_t>(
-          std::lower_bound(bases.begin(), bases.end(), static_cast<char*>(s)) -
-          bases.begin());
-      if (release[i]) {
-        if (static_cast<char*>(s) == cursor_base) {
-          cursor_ = nullptr;
-          slab_end_ = nullptr;
-        }
-        std::free(s);
-      } else {
-        kept.push_back(s);
-      }
-    }
-    slabs_.swap(kept);
-    slabs_released_.fetch_add(released, std::memory_order_relaxed);
-    cells_released_.fetch_add(released_cells, std::memory_order_relaxed);
-    obs::emit(obs::ev_slab_release, 0,
-              static_cast<std::uint32_t>(released));
-    obs::gauge_add(obs::g_slab_kib,
-                   -static_cast<std::int64_t>(released * slab_bytes_ / 1024));
-  }
-  return released;
+  return release_free_slabs(free_cells, /*live=*/false);
 }
 
 // Live-traffic trim (contract in pool.hpp): concurrent allocate/deallocate
 // is legal. Only the global recycle list is harvested — magazine cells
-// belong to their owner threads and count as in use — and fully-free slabs
-// are retired into epoch limbo instead of freed. Conservatism under races:
-// a cell freed concurrently with the drain either makes it into our set
-// (fine) or lands back on the list after it (its slab just looks occupied
-// this round); a concurrent carve only appends a new slab, which the
-// cursor-slab exclusion below already spares.
+// belong to their owner threads and count as in use. Conservatism under
+// races: a cell freed concurrently with the drain either makes it into our
+// set (fine) or lands back on the list after it (its slab just looks
+// occupied this round); a concurrent carve only extends the cursor slab or
+// appends a new one, and release_free_slabs spares the cursor slab.
 std::size_t slab_cache::trim_live() {
-  if (!mem::epoch::enabled()) return 0;
   trims_.fetch_add(1, std::memory_order_relaxed);
   // Pin for our own pop_global link walks.
   mem::epoch::pin_guard pin;
 
-  // 1. Drain the recycle list, bounded by its length at entry so this
-  //    cannot chase a storm of concurrent frees forever.
+  // Drain the recycle list, bounded by its length at entry so this cannot
+  // chase a storm of concurrent frees forever.
   std::vector<void*> free_cells;
   std::uint64_t bound = global_cells_.load(std::memory_order_acquire);
   free_cells.reserve(static_cast<std::size_t>(bound));
@@ -394,86 +315,102 @@ std::size_t slab_cache::trim_live() {
     if (p == nullptr) break;
     free_cells.push_back(p);
   }
+  std::lock_guard<std::mutex> lock(grow_mu_);
+  return release_free_slabs(free_cells, /*live=*/true);
+}
+
+std::size_t slab_cache::release_free_slabs(const std::vector<void*>& free_cells,
+                                           bool live) {
   if (free_cells.empty()) return 0;
 
-  std::size_t retired = 0;
-  std::size_t retired_cells = 0;
-  {
-    std::lock_guard<std::mutex> lock(grow_mu_);
+  // Per-slab occupancy over the drained set. Cells don't record their slab,
+  // so locate each by address range.
+  std::vector<char*> bases;
+  bases.reserve(slabs_.size());
+  for (void* s : slabs_) bases.push_back(static_cast<char*>(s));
+  std::sort(bases.begin(), bases.end());
+  auto slab_index = [&](void* p) {
+    auto it =
+        std::upper_bound(bases.begin(), bases.end(), static_cast<char*>(p));
+    return static_cast<std::size_t>(it - bases.begin()) - 1;
+  };
+  std::vector<std::size_t> freed(bases.size(), 0);
+  for (void* c : free_cells) ++freed[slab_index(c)];
 
-    // 2. Per-slab occupancy over OUR drained set only (same address-range
-    //    location as trim()).
-    std::vector<char*> bases;
-    bases.reserve(slabs_.size());
-    for (void* s : slabs_) bases.push_back(static_cast<char*>(s));
-    std::sort(bases.begin(), bases.end());
-    auto slab_index = [&](void* cell) {
-      auto it = std::upper_bound(bases.begin(), bases.end(),
-                                 static_cast<char*>(cell));
-      return static_cast<std::size_t>(it - bases.begin()) - 1;
-    };
-    std::vector<std::size_t> freed(bases.size(), 0);
-    for (void* c : free_cells) ++freed[slab_index(c)];
-
-    // 3. A slab is retireable when every cell it ever carved is in our
-    //    hands. The cursor slab is never retired: it is partially carved,
-    //    about to serve the next carve anyway, and sparing it means every
-    //    limbo slab has exactly slab_bytes_/stride_ cells — which is what
-    //    lets reclaim_slab() keep the limbo_cells gauge without a per-slab
-    //    side table.
-    const std::size_t cells_per_slab = slab_bytes_ / stride_;
-    const char* cursor_base =
-        cursor_ == nullptr ? nullptr : static_cast<char*>(slabs_.back());
-    std::vector<char> retire_flag(bases.size(), 0);
-    for (std::size_t i = 0; i < bases.size(); ++i) {
-      if (bases[i] != cursor_base && freed[i] == cells_per_slab) {
-        retire_flag[i] = 1;
-        ++retired;
-        retired_cells += cells_per_slab;
-      }
+  // A slab can go when every cell it ever carved is in the set. Every slab
+  // is fully carved except the one the cursor still points into. A
+  // quiescent trim counts only that slab's carved prefix; a live trim
+  // spares it — it is about to serve the next carve anyway, and sparing it
+  // means every limbo slab has exactly slab_bytes_/stride_ cells, which is
+  // what lets reclaim_slab() keep the limbo_cells gauge without a per-slab
+  // side table.
+  const std::size_t cells_per_slab = slab_bytes_ / stride_;
+  const char* cursor_base =
+      cursor_ == nullptr ? nullptr : static_cast<char*>(slabs_.back());
+  std::vector<char> gone(bases.size(), 0);
+  std::size_t slabs = 0;
+  std::size_t cells = 0;
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    std::size_t carved_here = cells_per_slab;
+    if (bases[i] == cursor_base) {
+      if (live) continue;
+      carved_here = static_cast<std::size_t>(cursor_ - bases[i]) / stride_;
     }
+    if (freed[i] != carved_here) continue;
+    gone[i] = 1;
+    ++slabs;
+    cells += carved_here;
+  }
 
-    // 4. Cells of surviving slabs go back onto the recycle list as one
-    //    chain; cells of retired slabs ride into limbo with their slab.
-    void* head = nullptr;
-    void* tail = nullptr;
-    std::uint32_t kept_cells = 0;
-    for (void* c : free_cells) {
-      if (retire_flag[slab_index(c)]) continue;
-      link_of(c)->store(head, std::memory_order_relaxed);
-      if (head == nullptr) tail = c;
-      head = c;
-      ++kept_cells;
-    }
-    if (kept_cells > 0) push_global(head, tail, kept_cells);
+  // Cells of surviving slabs (pinned by live neighbors) go back onto the
+  // global recycle list as one chain; cells of departing slabs leave with
+  // their storage.
+  void* head = nullptr;
+  void* tail = nullptr;
+  std::uint32_t kept_cells = 0;
+  for (void* c : free_cells) {
+    if (gone[slab_index(c)]) continue;
+    link_of(c)->store(head, std::memory_order_relaxed);
+    if (head == nullptr) tail = c;
+    head = c;
+    ++kept_cells;
+  }
+  if (kept_cells > 0) push_global(head, tail, kept_cells);
+  if (slabs == 0) return 0;
 
-    // 5. Retire: out of slabs_ and into epoch limbo. The storage stays
-    //    mapped until reclaim_slab runs, so a reader pinned right now may
-    //    still dereference these cells safely.
-    if (retired > 0) {
-      std::vector<void*> kept;
-      kept.reserve(slabs_.size() - retired);
-      for (void* s : slabs_) {
-        const std::size_t i = static_cast<std::size_t>(
-            std::lower_bound(bases.begin(), bases.end(),
-                             static_cast<char*>(s)) -
-            bases.begin());
-        if (retire_flag[i]) {
-          mem::epoch::retire(&slab_cache::reclaim_slab, this, s);
-        } else {
-          kept.push_back(s);
-        }
+  cells_released_.fetch_add(cells, std::memory_order_relaxed);
+  if (live) {
+    slabs_retired_.fetch_add(slabs, std::memory_order_relaxed);
+    limbo_cells_.fetch_add(cells, std::memory_order_relaxed);
+    obs::emit(obs::ev_slab_retire, 0, static_cast<std::uint32_t>(slabs));
+  } else {
+    slabs_released_.fetch_add(slabs, std::memory_order_relaxed);
+    obs::emit(obs::ev_slab_release, 0, static_cast<std::uint32_t>(slabs));
+    obs::gauge_add(obs::g_slab_kib,
+                   -static_cast<std::int64_t>(slabs * slab_bytes_ / 1024));
+  }
+
+  // Departing slabs leave slabs_. At quiescence no reader is pinned, so
+  // they are freed now; under live traffic they are retired into epoch
+  // limbo and stay mapped until reclaim_slab runs, so a reader pinned right
+  // now may still dereference their cells safely.
+  std::vector<void*> kept;
+  kept.reserve(slabs_.size() - slabs);
+  for (void* s : slabs_) {
+    if (!gone[slab_index(s)]) {
+      kept.push_back(s);
+    } else if (live) {
+      mem::epoch::retire(&slab_cache::reclaim_slab, this, s);
+    } else {
+      if (static_cast<char*>(s) == cursor_base) {
+        cursor_ = nullptr;
+        slab_end_ = nullptr;
       }
-      slabs_.swap(kept);
+      std::free(s);
     }
   }
-  if (retired > 0) {
-    slabs_retired_.fetch_add(retired, std::memory_order_relaxed);
-    cells_released_.fetch_add(retired_cells, std::memory_order_relaxed);
-    limbo_cells_.fetch_add(retired_cells, std::memory_order_relaxed);
-    obs::emit(obs::ev_slab_retire, 0, static_cast<std::uint32_t>(retired));
-  }
-  return retired;
+  slabs_.swap(kept);
+  return slabs;
 }
 
 void slab_cache::reclaim_slab(void* self, void* slab) noexcept {

@@ -22,16 +22,16 @@
 //      refill carve fresh cells from the current slab, growing a new slab
 //      from the upstream allocator when exhausted (the only path that ever
 //      calls aligned_alloc, counted in stats().slab_growths). Slabs leave
-//      through two doors, both governed by the epoch protocol
-//      (src/mem/epoch.hpp): trim() at quiescence frees fully-free slabs
-//      immediately (no pinned readers to wait for), and trim_live() under
-//      live traffic RETIRES them into epoch limbo, where they stay mapped
-//      until two epoch advances prove no pinned reader — a racing
-//      recycle-list pop, a stale SNZI-pair or out-set-node dereference on a
-//      pinned worker — can still reach a cell inside them. The pool's own
-//      stale reads (pop_global walking links of cells another thread may
-//      pop concurrently) pin around the pop, so they are covered by the
-//      same argument.
+//      through one release routine fed by two drains, both governed by the
+//      epoch protocol (src/mem/epoch.hpp): trim() at quiescence frees
+//      fully-free slabs immediately (no pinned readers to wait for), and
+//      trim_live() under live traffic RETIRES them into epoch limbo, where
+//      they stay mapped until two epoch advances prove no pinned reader — a
+//      racing recycle-list pop, a stale SNZI-pair or out-set-node
+//      dereference on a pinned worker — can still reach a cell inside
+//      them. The pool's own stale reads (pop_global walking links of cells
+//      another thread may pop concurrently) pin around the pop, so they are
+//      covered by the same argument.
 //
 // Cell layout: every cell carries a small pool-private header *before* the
 // object — a free-list link (atomic, never aliased by object data, so the
@@ -123,6 +123,14 @@ class slab_cache : public object_pool {
   void* pop_global() noexcept;
   void push_global(void* first, void* last, std::uint32_t n) noexcept;
   static bool restamp(void* p, int slot) noexcept;
+  // The shared half of trim() and trim_live(). `free_cells` are the cells
+  // the caller drained; cells of slabs that stay go back on the recycle
+  // list, and every slab whose carved cells are all in the set is freed
+  // now (live == false, quiescent) or retired into epoch limbo (live ==
+  // true; the cursor slab is spared). Caller holds grow_mu_. Returns the
+  // slabs released or retired.
+  std::size_t release_free_slabs(const std::vector<void*>& free_cells,
+                                 bool live);
   // Epoch limbo callback: frees one retired slab (mem::epoch::retire's fn).
   static void reclaim_slab(void* self, void* slab) noexcept;
 

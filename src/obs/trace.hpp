@@ -190,7 +190,7 @@ struct trace_summary {
   std::uint64_t mag_flushes = 0;
   std::uint64_t slab_carves = 0;
   std::uint64_t slab_releases = 0;
-  // Epoch-based reclamation lifecycle (zero with -DSPDAG_EPOCH=OFF).
+  // Epoch-based reclamation lifecycle.
   std::uint64_t epoch_advances = 0;
   std::uint64_t slab_retires = 0;
   std::uint64_t slab_reclaims = 0;

@@ -82,7 +82,7 @@ void private_deque_scheduler::enqueue_drain(outset_drain_task* t) {
       // Worker path: queue privately. communicate() answers steal requests
       // from it, and the idle path below runs what nobody asked for.
       worker& me = workers_[static_cast<std::size_t>(tls_pd_worker_id)]->value;
-      if (me.drains.size() < cfg_.drain_queue_cap) {
+      if (me.drains.size() < drain_queue_cap) {
         drains_pending_.fetch_add(1, std::memory_order_acq_rel);
         me.drains.push_back(t);
         obs::gauge_add(obs::g_drains_pending, 1);
@@ -261,7 +261,7 @@ void private_deque_scheduler::worker_main(std::size_t id) {
     }
     bool got = false;
     for (std::size_t attempt = 0;
-         attempt < cfg_.steal_attempts_before_park && !got; ++attempt) {
+         attempt < steal_attempts_before_park && !got; ++attempt) {
       const std::size_t victim =
           static_cast<std::size_t>(rng.below(workers_.size()));
       if (victim == id) continue;
@@ -305,7 +305,7 @@ void private_deque_scheduler::worker_main(std::size_t id) {
         parked_.fetch_add(1, std::memory_order_acq_rel);
         {
           obs::span_guard sg(obs::sp_idle);
-          park_cv_.wait_for(lock, cfg_.park_timeout);
+          park_cv_.wait_for(lock, park_timeout);
         }
         parked_.fetch_sub(1, std::memory_order_acq_rel);
       }

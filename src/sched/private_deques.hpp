@@ -47,13 +47,6 @@ namespace spdag {
 struct private_deque_config {
   std::size_t workers = 0;  // 0 = hardware_core_count()
   bool pin_threads = false;
-  // Failed steal attempts before a worker parks.
-  std::size_t steal_attempts_before_park = 16;
-  std::chrono::microseconds park_timeout{500};
-  // Out-set drain tasks a worker queues privately before enqueue_drain
-  // falls back to running the task inline (bounds the backlog a single
-  // broadcast can park on one worker).
-  std::size_t drain_queue_cap = 256;
 };
 
 class private_deque_scheduler final : public scheduler_base {
@@ -154,6 +147,15 @@ class private_deque_scheduler final : public scheduler_base {
   // `migrated` = it was enqueued by a different worker (or externally).
   void run_drain(std::size_t id, outset_drain_task* t, bool migrated);
   void unpark_some();
+
+  // Failed steal attempts before a worker parks.
+  static constexpr std::size_t steal_attempts_before_park = 16;
+  // Park timeout; bounds the cost of a lost wakeup.
+  static constexpr std::chrono::microseconds park_timeout{500};
+  // Out-set drain tasks a worker queues privately before enqueue_drain
+  // falls back to running the task inline (bounds the backlog a single
+  // broadcast can park on one worker).
+  static constexpr std::size_t drain_queue_cap = 256;
 
   private_deque_config cfg_;
   std::vector<std::unique_ptr<padded<worker>>> workers_;

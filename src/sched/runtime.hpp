@@ -67,14 +67,11 @@ inline std::unique_ptr<scheduler_base> make_scheduler(const std::string& spec,
                                                       bool pin_threads) {
   if (spec == "ws") {
     return std::make_unique<scheduler>(
-        scheduler_config{workers, pin_threads, /*steal_sweeps_before_park=*/4,
-                         std::chrono::microseconds{500}});
+        scheduler_config{workers, pin_threads});
   }
   if (spec == "private") {
     return std::make_unique<private_deque_scheduler>(
-        private_deque_config{workers, pin_threads,
-                             /*steal_attempts_before_park=*/16,
-                             std::chrono::microseconds{500}});
+        private_deque_config{workers, pin_threads});
   }
   throw std::invalid_argument("unknown scheduler spec: " + spec);
 }

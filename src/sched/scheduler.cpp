@@ -122,7 +122,7 @@ vertex* scheduler::find_work(std::size_t id, xoshiro256& rng) {
   // caller can park.
   obs::span_guard steal_span(obs::sp_steal);
   const std::size_t n = workers_.size();
-  for (std::size_t sweep = 0; sweep < cfg_.steal_sweeps_before_park; ++sweep) {
+  for (std::size_t sweep = 0; sweep < steal_sweeps_before_park; ++sweep) {
     for (std::size_t attempt = 0; attempt < 2 * n; ++attempt) {
       const std::size_t victim = static_cast<std::size_t>(rng.below(n));
       if (victim == id) continue;
@@ -200,7 +200,7 @@ void scheduler::worker_main(std::size_t id) {
         parked_.fetch_add(1, std::memory_order_acq_rel);
         {
           obs::span_guard sg(obs::sp_idle);
-          park_cv_.wait_for(lock, cfg_.park_timeout);
+          park_cv_.wait_for(lock, park_timeout);
         }
         parked_.fetch_sub(1, std::memory_order_acq_rel);
       }

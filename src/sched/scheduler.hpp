@@ -29,10 +29,6 @@ namespace spdag {
 struct scheduler_config {
   std::size_t workers = 0;  // 0 = hardware_core_count()
   bool pin_threads = false;
-  // Failed steal sweeps before a worker parks.
-  std::size_t steal_sweeps_before_park = 4;
-  // Park timeout; bounds the cost of a lost wakeup.
-  std::chrono::microseconds park_timeout{500};
 };
 
 class scheduler final : public scheduler_base {
@@ -91,6 +87,11 @@ class scheduler final : public scheduler_base {
   // Runs one queued drain task if any; returns whether it did.
   bool run_one_drain(int id);
   void unpark_some();
+
+  // Failed steal sweeps before a worker parks.
+  static constexpr std::size_t steal_sweeps_before_park = 4;
+  // Park timeout; bounds the cost of a lost wakeup.
+  static constexpr std::chrono::microseconds park_timeout{500};
 
   scheduler_config cfg_;
   std::vector<std::unique_ptr<padded<worker>>> workers_;

@@ -293,7 +293,7 @@ void dag_service::maybe_busy_trim() {
   // atomicity. Unlike the idle trim there is NO gate and NO quiescence
   // check: trim_pools_live() is built for concurrent traffic — fully-free
   // slabs go to epoch limbo and are freed only after the 2-epoch delay.
-  if (!mem::epoch::enabled() || cfg_.busy_trim_every == 0) return;
+  if (cfg_.busy_trim_every == 0) return;
   if (++dispatches_since_busy_trim_ < cfg_.busy_trim_every) return;
   dispatches_since_busy_trim_ = 0;
   std::size_t reclaimed = 0;

@@ -102,8 +102,7 @@ struct service_config {
 
   // Dispatch-count cadence of the live (epoch-based) busy trim: every this
   // many dispatches the dispatcher calls dag_engine::trim_pools_live().
-  // Zero disables it; it is also inert when the epoch subsystem is compiled
-  // out (-DSPDAG_EPOCH=OFF).
+  // Zero disables it.
   std::size_t busy_trim_every = 256;
 };
 

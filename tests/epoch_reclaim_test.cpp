@@ -32,7 +32,6 @@ void bump(void* a, void* /*b*/) noexcept {
 }
 
 TEST(EpochReclaimStress, RetireStormRunsEveryEntryExactlyOnce) {
-  if (!ep::enabled()) GTEST_SKIP() << "built with -DSPDAG_EPOCH=OFF";
   constexpr int kRetirers = 4;
   constexpr int kMixers = 3;
   constexpr int kPerThread = 5000;
@@ -93,7 +92,6 @@ struct cell {
 };
 
 TEST(EpochReclaimStress, TrimLiveUnderAllocationStormConservesCells) {
-  if (!ep::enabled()) GTEST_SKIP() << "built with -DSPDAG_EPOCH=OFF";
   // Small slabs so bursts span many slabs and fully-free ones exist.
   slab_pool<cell> pool("epoch_storm", /*slab_bytes=*/4096);
   constexpr int kChurners = 4;
@@ -199,14 +197,10 @@ TEST(EpochReclaimStress, ServiceBusyTrimUnderMultiClientTraffic) {
   EXPECT_EQ(s.submitted, n);
   EXPECT_EQ(s.completed, n);
   EXPECT_EQ(s.rejected, 0u);
-  if (ep::enabled()) {
-    // n dispatches at a cadence of 8 means the busy trim must have fired
-    // many times while submissions were in flight.
-    EXPECT_GT(s.busy_trims, 0u);
-    EXPECT_GE(s.slabs_retired, s.slabs_reclaimed);
-  } else {
-    EXPECT_EQ(s.busy_trims, 0u);
-  }
+  // n dispatches at a cadence of 8 means the busy trim must have fired many
+  // times while submissions were in flight.
+  EXPECT_GT(s.busy_trims, 0u);
+  EXPECT_GE(s.slabs_retired, s.slabs_reclaimed);
 }
 
 }  // namespace

@@ -4,8 +4,7 @@
 //
 // Everything here is single- or two-threaded with explicit handshakes — the
 // adversarial multi-thread storms live in epoch_reclaim_test.cpp (stress
-// lane). All tests skip when the subsystem is compiled out
-// (-DSPDAG_EPOCH=OFF); the kill-switch CI lane still builds this binary.
+// lane).
 
 #include <atomic>
 #include <thread>
@@ -34,7 +33,6 @@ void settle() {
 }
 
 TEST(Epoch, PinsNestPerThread) {
-  if (!ep::enabled()) GTEST_SKIP() << "built with -DSPDAG_EPOCH=OFF";
   EXPECT_FALSE(ep::pinned());
   ep::pin();
   EXPECT_TRUE(ep::pinned());
@@ -46,7 +44,6 @@ TEST(Epoch, PinsNestPerThread) {
 }
 
 TEST(Epoch, RefreshAndTickAreNoOpsUnpinned) {
-  if (!ep::enabled()) GTEST_SKIP() << "built with -DSPDAG_EPOCH=OFF";
   // Legal (and harmless) from a thread that holds no pin — the scheduler
   // hooks rely on this after the park-path unpin.
   ep::refresh();
@@ -54,22 +51,11 @@ TEST(Epoch, RefreshAndTickAreNoOpsUnpinned) {
   EXPECT_FALSE(ep::pinned());
 }
 
-TEST(Epoch, DisabledBuildRunsRetireImmediately) {
-  if (ep::enabled()) GTEST_SKIP() << "covers the -DSPDAG_EPOCH=OFF build";
-  std::atomic<int> freed{0};
-  ep::retire(&bump, &freed, nullptr);
-  EXPECT_EQ(freed.load(), 1) << "with the subsystem compiled out, retire() "
-                                "must degrade to immediate destruction";
-  EXPECT_FALSE(ep::pinned());
-  EXPECT_EQ(ep::limbo_size(), 0u);
-}
-
 // The load-bearing safety property, made deterministic: a pinned thread
 // that has not refreshed blocks the SECOND advance (it lags by at most
 // one), and memory retired under it stays in limbo until the laggard
 // republishes at a no-stale-pointers point.
 TEST(Epoch, PinnedLaggardBlocksSecondAdvanceAndReclaim) {
-  if (!ep::enabled()) GTEST_SKIP() << "built with -DSPDAG_EPOCH=OFF";
   settle();
 
   std::atomic<int> stage{0};
@@ -112,7 +98,6 @@ TEST(Epoch, PinnedLaggardBlocksSecondAdvanceAndReclaim) {
 }
 
 TEST(Epoch, RetireFreesAfterTwoAdvancesExactlyOnce) {
-  if (!ep::enabled()) GTEST_SKIP() << "built with -DSPDAG_EPOCH=OFF";
   settle();
 
   std::atomic<int> freed{0};
@@ -136,7 +121,6 @@ TEST(Epoch, RetireFreesAfterTwoAdvancesExactlyOnce) {
 }
 
 TEST(Epoch, FlushOwnerRunsMatchingEntriesRegardlessOfEpoch) {
-  if (!ep::enabled()) GTEST_SKIP() << "built with -DSPDAG_EPOCH=OFF";
   settle();
 
   std::atomic<int> mine{0};
@@ -162,7 +146,6 @@ TEST(Epoch, FlushOwnerRunsMatchingEntriesRegardlessOfEpoch) {
 }
 
 TEST(Epoch, AdvanceIsMonotoneAcrossThreads) {
-  if (!ep::enabled()) GTEST_SKIP() << "built with -DSPDAG_EPOCH=OFF";
   settle();
   const std::uint64_t e0 = ep::current();
   std::thread t([] {

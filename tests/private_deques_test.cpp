@@ -39,7 +39,10 @@ TEST(PrivateDeques, SingleWorkerNeverSteals) {
 TEST(PrivateDeques, StealsMigrateWorkAcrossWorkers) {
   runtime rt(pd(4));
   rt.sched().reset_totals();
-  harness::fanin(rt, 1 << 14);
+  // Leaves carry 1 us of work each: with empty leaves one worker can finish
+  // the whole fan-in before a parked peer's timeout wins a CPU on a loaded
+  // host, which is correct scheduling but leaves nothing to steal.
+  harness::fanin(rt, 1 << 14, /*work_ns=*/1000);
   EXPECT_GT(rt.sched().totals().steals, 0u)
       << "a wide fanin should trigger at least one successful steal request";
 }
@@ -169,8 +172,7 @@ TEST(PrivateDequesDrains, ShutdownWithUndrainedQueuesRunsThemWithoutLeaking) {
   constexpr int kDrains = 64;
   std::atomic<int> runs{0};
   {
-    private_deque_scheduler sched(private_deque_config{2, false, 16,
-                                                       std::chrono::microseconds{500}});
+    private_deque_scheduler sched(private_deque_config{2, false});
     for (int i = 0; i < kDrains; ++i) {
       sched.enqueue_drain(new counting_drain(&runs));
     }

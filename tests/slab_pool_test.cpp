@@ -3,8 +3,9 @@
 // object, cross-worker free correctness under raw-thread storms (run under
 // TSan in CI), geometry-derived magazine capacities (byte budget + clamp),
 // quiescent trim (slab release, retained() drain, double-trim no-op,
-// engine-level trim_pools), steady-state slab plateau, registry keying, and
-// spec parsing.
+// engine-level trim_pools), live trim (what it spares, limbo accounting,
+// the registry's quiescent flush of its limbo), steady-state slab plateau,
+// registry keying, and spec parsing.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "harness/workloads.hpp"
+#include "mem/epoch.hpp"
 #include "mem/malloc_pool.hpp"
 #include "mem/registry.hpp"
 #include "mem/slab_pool.hpp"
@@ -317,6 +319,41 @@ TEST(SlabPoolTrim, LiveCellsPinExactlyTheirSlab) {
   EXPECT_EQ(pool.slab_count(), 0u);
 }
 
+TEST(SlabPoolTrim, LiveTrimSparesMagazinesAndCursorSlab) {
+  // A live trim harvests only the global recycle list: cells still in this
+  // thread's magazine count as in use and pin their slabs, and the cursor
+  // slab is never retired. Every retired slab enters limbo whole.
+  slab_pool<counted> pool("live", /*slab_bytes=*/4096,
+                          /*magazine_bytes=*/256);
+  std::vector<counted*> cells;
+  for (int i = 0; i < 1000; ++i) cells.push_back(pool.create());
+  for (counted* c : cells) pool.destroy(c);
+  const std::size_t before = pool.slab_count();
+  ASSERT_GT(before, 2u);
+
+  const std::size_t retired = pool.trim_live();
+  EXPECT_GT(retired, 0u);
+  const pool_stats s = pool.stats();
+  EXPECT_GT(s.magazine_cells, 0u) << "a live trim leaves magazines alone";
+  EXPECT_EQ(pool.slab_count() + retired, before);
+  EXPECT_LE(pool.slab_count(), s.magazine_cells + 1)
+      << "only magazine-held cells and the cursor slab may keep a slab";
+  EXPECT_GE(pool.slab_count(), 1u) << "the cursor slab is spared";
+  EXPECT_EQ(s.slabs_retired, retired);
+  EXPECT_EQ(s.slabs_released, 0u) << "a live trim never frees at once";
+  EXPECT_EQ(s.slabs_reclaimed, 0u);
+  EXPECT_EQ(s.limbo_cells, retired * (pool.slab_bytes() / pool.cell_stride()));
+  EXPECT_EQ(s.cells_released, s.limbo_cells);
+
+  // No thread is pinned, so two advances pass the retire epoch.
+  mem::epoch::try_advance();
+  mem::epoch::try_advance();
+  mem::epoch::reclaim();
+  const pool_stats after = pool.stats();
+  EXPECT_EQ(after.limbo_cells, 0u);
+  EXPECT_EQ(after.slabs_reclaimed, after.slabs_retired);
+}
+
 TEST(SlabPoolTrim, EngineTrimAfterChurnReleasesSlabsUpstream) {
   // The acceptance criterion: a future-churn run, then a quiescent
   // dag_engine::trim_pools() between run()s, must hand at least one slab
@@ -428,6 +465,35 @@ TEST(PoolRegistry, MallocRegistryServesWorkingPools) {
   ASSERT_NE(a, nullptr);
   p.deallocate(a);
   EXPECT_EQ(reg->totals().allocs, 1u);
+}
+
+TEST(PoolRegistry, QuiescentTrimFlushesLiveTrimLimbo) {
+  // A quiescent trim() also frees what an earlier trim_live() left in
+  // epoch limbo, and counts those slabs in its total.
+  mem::epoch::try_advance();  // settle limbo left by earlier tests
+  mem::epoch::try_advance();
+  mem::epoch::reclaim();
+  auto reg = make_pool_registry("pool:4096:256");
+  auto* pool = dynamic_cast<slab_cache*>(&reg->get("cells", 64, 8));
+  ASSERT_NE(pool, nullptr);
+  std::vector<void*> cells;
+  for (int i = 0; i < 1000; ++i) cells.push_back(pool->allocate());
+  for (void* p : cells) pool->deallocate(p);
+  const std::size_t before = pool->slab_count();
+
+  std::size_t reclaimed = 1;
+  const std::size_t retired = reg->trim_live(&reclaimed);
+  EXPECT_GT(retired, 0u);
+  EXPECT_EQ(reclaimed, 0u) << "one advance cannot pass a fresh retire";
+  EXPECT_GT(reg->totals().limbo_cells, 0u);
+
+  EXPECT_EQ(reg->trim(), before)
+      << "slabs freed now plus limbo slabs reclaimed: every slab";
+  const pool_stats s = reg->totals();
+  EXPECT_EQ(s.limbo_cells, 0u);
+  EXPECT_EQ(s.retained(), 0u);
+  EXPECT_EQ(s.slabs_reclaimed, s.slabs_retired);
+  EXPECT_EQ(pool->slab_count(), 0u);
 }
 
 }  // namespace
