@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       // Warm-up populates the pools AND fixes the golden distance vector the
       // measured runs must reproduce byte-identically.
       const std::vector<std::int32_t> golden = apps::bfs_run(rt, g, cfg);
-      rt.engine().stats().reset();  // scope the ledger to the measured runs
+      rt.engine().reset_stats();  // scope the ledger to the measured runs
 
       run_stats stats;
       latency_histogram hist;

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
                      batch ? 1 : 0);
         return 1;
       }
-      rt.engine().stats().reset();  // scope the ledger to the measured runs
+      rt.engine().reset_stats();  // scope the ledger to the measured runs
 
       run_stats stats;
       latency_histogram hist;

@@ -35,9 +35,18 @@ must report counter_ops_per_edge strictly < 1.0, unbatched records must
 sit at exactly 1.0 (small tolerance for float serialization) — unbatched
 execution pays one inc + one dec per edge by construction.
 
+With --scaling, additionally gates the paper's Fig. 8 shape on a
+fig08_fanin_scalability document (BENCH_fig08.json): the in-counter's
+(`dyn`) total ops/s at the largest proc count in the document must be at
+least its proc-1 ops/s, i.e. adding workers must not lose throughput. Like
+the pool/malloc ratio, this compares two numbers from the same run, so it
+holds on shared runners of any speed. `faa` records, when present, are
+printed for reference and not gated. Missing proc-1 or multi-proc `dyn`
+records, or a non-finite/non-positive rate, exit 2.
+
 With --selftest, runs the embedded good/bad/malformed fixture documents
 through every gate (churn pool/malloc ratio, trace overhead compare,
-service with and without busy trim, apps) and exits nonzero if any gate
+service with and without busy trim, apps, scaling) and exits nonzero if any gate
 passes a bad fixture or fails a good one — run this FIRST in CI so a
 refactor of this script cannot silently pass everything.
 
@@ -48,6 +57,7 @@ Usage: perf_smoke_gate.py BENCH_future_churn.json [--min-ratio 0.9]
            [--max-trace-overhead 0.03]
            [--service BENCH_service_traffic.json]
            [--apps BENCH_apps.json]
+           [--scaling BENCH_fig08.json]
        perf_smoke_gate.py --selftest
 """
 
@@ -232,6 +242,39 @@ def apps_gate(path):
     return ok
 
 
+def scaling_gate(path):
+    """True when fig08 `dyn` throughput at its largest proc count is at
+    least its proc-1 throughput (see module doc)."""
+    doc = load(path)
+    rates = {}
+    for rec in doc["records"]:
+        name = rec.get("name", "")
+        if not name.startswith("fig08/fanin/"):
+            continue
+        proc, rate = rec.get("proc"), rec.get("ops_per_s")
+        if not (isinstance(proc, int) and isinstance(rate, (int, float))
+                and math.isfinite(rate) and rate > 0):
+            print(f"perf_smoke_gate: {name}: unusable proc {proc!r} or "
+                  f"ops_per_s {rate!r}", file=sys.stderr)
+            sys.exit(2)
+        rates.setdefault(rec.get("spec"), {})[proc] = rate
+    dyn = rates.get("dyn", {})
+    top = max(dyn, default=0)
+    if 1 not in dyn or top <= 1:
+        print(f"perf_smoke_gate: {path} needs fig08 dyn records at proc 1 "
+              f"and at a larger proc count", file=sys.stderr)
+        sys.exit(2)
+    ratio = dyn[top] / dyn[1]
+    ok = ratio >= 1.0
+    faa = rates.get("faa", {})
+    if 1 in faa and top in faa:
+        print(f"  faa (not gated): proc 1 {faa[1]:,.0f} -> proc {top} "
+              f"{faa[top]:,.0f} ops/s ({faa[top] / faa[1]:.2f}x)")
+    print(f"  dyn: proc 1 {dyn[1]:,.0f} -> proc {top} {dyn[top]:,.0f} ops/s "
+          f"-> {ratio:.2f}x (floor 1.00x) [{'ok' if ok else 'REGRESSION'}]")
+    return ok
+
+
 def churn_gate(doc, min_ratio):
     """True when pooled churn throughput keeps up with same-run malloc.
 
@@ -298,6 +341,11 @@ def _app_rec(batch, ratio, completed=100, spawned=100, p99=1.0, rate=100.0):
             "lat_p99_ms": p99,
             "extra": {"completed": completed, "spawned": spawned,
                       "counter_ops_per_edge": ratio, "batch": batch}}
+
+
+def _fig08_rec(spec, proc, rate):
+    return {"name": f"fig08/fanin/{spec}/proc:{proc}", "spec": spec,
+            "proc": proc, "ops_per_s": rate}
 
 
 def selftest():
@@ -383,6 +431,27 @@ def selftest():
         expect("apps empty", "exit2", lambda: apps_gate(empty))
         expect("apps malformed", "exit2", lambda: apps_gate(truncated))
 
+        # fig08 scaling gate
+        scale_good = write("scale_good.json", _fixture(
+            [_fig08_rec("faa", 1, 100.0), _fig08_rec("faa", 2, 60.0),
+             _fig08_rec("dyn", 1, 100.0), _fig08_rec("dyn", 2, 190.0)]))
+        scale_bad = write("scale_bad.json", _fixture(
+            [_fig08_rec("dyn", 1, 100.0), _fig08_rec("dyn", 2, 40.0)]))
+        scale_nop1 = write("scale_nop1.json", _fixture(
+            [_fig08_rec("dyn", 2, 190.0), _fig08_rec("dyn", 4, 300.0)]))
+        scale_p1only = write("scale_p1only.json", _fixture(
+            [_fig08_rec("dyn", 1, 100.0), _fig08_rec("faa", 2, 90.0)]))
+        scale_zero = write("scale_zero.json", _fixture(
+            [_fig08_rec("dyn", 1, 0.0), _fig08_rec("dyn", 2, 190.0)]))
+        expect("scaling good", "pass", lambda: scaling_gate(scale_good))
+        expect("scaling bad", "fail", lambda: scaling_gate(scale_bad))
+        expect("scaling no proc-1", "exit2", lambda: scaling_gate(scale_nop1))
+        expect("scaling proc-1 only", "exit2",
+               lambda: scaling_gate(scale_p1only))
+        expect("scaling zero rate", "exit2", lambda: scaling_gate(scale_zero))
+        expect("scaling empty", "exit2", lambda: scaling_gate(empty))
+        expect("scaling malformed", "exit2", lambda: scaling_gate(truncated))
+
     if failures:
         print(f"perf_smoke_gate: SELFTEST FAILED: {', '.join(failures)}",
               file=sys.stderr)
@@ -411,6 +480,10 @@ def main():
                     help="merged application-tier document; gates vertex "
                          "conservation and counter_ops_per_edge < 1.0 on "
                          "batch configs")
+    ap.add_argument("--scaling", metavar="FIG08_JSON", default=None,
+                    help="fig08_fanin_scalability document; fails unless "
+                         "dyn ops/s at the largest proc is at least its "
+                         "proc-1 ops/s")
     ap.add_argument("--selftest", action="store_true",
                     help="run every gate over embedded good/bad fixtures "
                          "and exit (no input document needed)")
@@ -437,6 +510,11 @@ def main():
             print("perf_smoke_gate: FAIL - dag_service traffic records "
                   "violated conservation or reported degenerate latency",
                   file=sys.stderr)
+            sys.exit(1)
+    if args.scaling is not None:
+        if not scaling_gate(args.scaling):
+            print("perf_smoke_gate: FAIL - fig08 dyn throughput fell when "
+                  "workers were added", file=sys.stderr)
             sys.exit(1)
     if args.trace_compare is not None:
         if not overhead_gate(doc, args.trace_compare,

@@ -4,9 +4,11 @@
 #include <vector>
 
 #include "mem/epoch.hpp"
+#include "mem/thread_slot.hpp"
 #include "obs/trace.hpp"
 #include "outset/factory.hpp"
 #include "util/rng.hpp"
+#include "util/single_writer.hpp"
 
 namespace spdag {
 
@@ -16,7 +18,33 @@ thread_local dag_engine* tls_current_engine = nullptr;
 // Pending drains of the thread-local inline trampoline below; non-null only
 // while a drain loop is running on this thread.
 thread_local std::vector<outset_drain_task*>* tls_drain_queue = nullptr;
+
+constexpr engine_stats::field ledger_fields[] = {
+    &engine_stats::vertices_created,
+    &engine_stats::vertices_recycled,
+    &engine_stats::spawns,
+    &engine_stats::chains,
+    &engine_stats::signals,
+    &engine_stats::pairs_created,
+    &engine_stats::pairs_recycled,
+    &engine_stats::executions,
+    &engine_stats::drains_enqueued,
+    &engine_stats::edges,
+    &engine_stats::counter_incs,
+    &engine_stats::counter_decs,
+};
+
+// Rows 0..max_thread_slots-1 belong to thread slots; the last is shared.
+constexpr std::size_t ledger_rows = mem::max_thread_slots + 1;
+constexpr std::size_t overflow_row = mem::max_thread_slots;
 }  // namespace
+
+engine_stats::engine_stats(const engine_stats& other) noexcept {
+  for (field f : ledger_fields) {
+    (this->*f).store((other.*f).load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+  }
+}
 
 vertex* dag_engine::current_vertex() noexcept { return tls_current_vertex; }
 dag_engine* dag_engine::current_engine() noexcept { return tls_current_engine; }
@@ -48,8 +76,63 @@ void executor::enqueue_drain(outset_drain_task* t) {
   tls_drain_queue = nullptr;
 }
 
+void dag_engine::tally(engine_stats::field f, std::uint64_t d) noexcept {
+  // Release stores, so that live_vertices()' acquire loads see every
+  // creation that preceded a counted recycle (see there).
+  const int slot = mem::thread_slot();
+  if (slot >= 0) {
+    bump(ledger_[static_cast<std::size_t>(slot)].value.*f, d,
+         std::memory_order_release);
+  } else {
+    (ledger_[overflow_row].value.*f).fetch_add(d, std::memory_order_release);
+  }
+}
+
+void dag_engine::sum_rows(engine_stats& out) const noexcept {
+  for (engine_stats::field f : ledger_fields) {
+    std::uint64_t sum = 0;
+    for (std::size_t r = 0; r < ledger_rows; ++r) {
+      sum += (ledger_[r].value.*f).load(std::memory_order_relaxed);
+    }
+    (out.*f).store(sum, std::memory_order_relaxed);
+  }
+}
+
+engine_stats dag_engine::stats() const noexcept {
+  engine_stats s;
+  sum_rows(s);
+  for (engine_stats::field f : ledger_fields) {
+    (s.*f).fetch_sub((baseline_.*f).load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+  }
+  return s;
+}
+
+void dag_engine::reset_stats() noexcept { sum_rows(baseline_); }
+
+std::size_t dag_engine::live_vertices() const noexcept {
+  // Recycled rows first. A vertex is recycled only by a thread that reached
+  // it through some hand-off (a deque push, a ready counter) sequenced after
+  // its creation was tallied, and every tally is a release store. So the
+  // acquire load that counts a recycle also makes that vertex's creation
+  // visible to the created sum read after it: the difference never
+  // underflows, and a zero is never reached by missing a live vertex's
+  // creation while counting its recycle.
+  std::uint64_t recycled = 0;
+  for (std::size_t r = 0; r < ledger_rows; ++r) {
+    recycled +=
+        ledger_[r].value.vertices_recycled.load(std::memory_order_acquire);
+  }
+  std::uint64_t created = 0;
+  for (std::size_t r = 0; r < ledger_rows; ++r) {
+    created +=
+        ledger_[r].value.vertices_created.load(std::memory_order_acquire);
+  }
+  return static_cast<std::size_t>(created - recycled);
+}
+
 void dag_engine::enqueue_drain(outset_drain_task* t) {
-  stats_.drains_enqueued.fetch_add(1, std::memory_order_relaxed);
+  tally(&engine_stats::drains_enqueued);
   exec_.enqueue_drain(t);
 }
 
@@ -83,6 +166,7 @@ dag_engine::dag_engine(counter_factory& factory, executor& exec,
                                       : &default_pool_registry()),
       exec_(exec),
       options_(options),
+      ledger_(std::make_unique<padded<engine_stats>[]>(ledger_rows)),
       vertex_pool_(&pools_->get("vertex", sizeof(vertex), alignof(vertex))),
       pair_pool_(&pools_->get("dec_pair", sizeof(dec_pair), alignof(dec_pair))) {
   // Counters from one factory are homogeneous; probe once.
@@ -126,7 +210,7 @@ object_pool& dag_engine::state_pool(std::size_t bytes, std::size_t align) {
 }
 
 vertex* dag_engine::alloc_vertex() {
-  stats_.vertices_created.fetch_add(1, std::memory_order_relaxed);
+  tally(&engine_stats::vertices_created);
   return pool_new<vertex>(*vertex_pool_);
 }
 
@@ -135,7 +219,7 @@ void dag_engine::recycle(vertex* v) {
     factory_.release(v->counter);
     v->counter = nullptr;
   }
-  stats_.vertices_recycled.fetch_add(1, std::memory_order_relaxed);
+  tally(&engine_stats::vertices_recycled);
   pool_delete(*vertex_pool_, v);
 }
 
@@ -143,13 +227,13 @@ dec_pair* dag_engine::alloc_pair(token t0, token t1, std::uint32_t owners,
                                  bool grouped) {
   dec_pair* p = pool_new<dec_pair>(*pair_pool_);
   p->reset(t0, t1, owners, grouped);
-  stats_.pairs_created.fetch_add(1, std::memory_order_relaxed);
+  tally(&engine_stats::pairs_created);
   return p;
 }
 
 void dag_engine::release_pair_ref(dec_pair* p) {
   if (p->owners.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    stats_.pairs_recycled.fetch_add(1, std::memory_order_relaxed);
+    tally(&engine_stats::pairs_recycled);
     pool_delete(*pair_pool_, p);
   }
 }
@@ -185,15 +269,25 @@ token dag_engine::claim_dec(vertex* u) {
   return t;
 }
 
+// Only a vertex that waits gets a counter. Every increment and depart in
+// the engine targets fin->counter, and every fin is make()'s final vertex or
+// chain()'s continuation, both created here with n == 1. A vertex created
+// with n == 0 is never anyone's fin, so nothing ever arrives on or departs
+// from it; and futures gate their consumers through the producer's out-set,
+// never through the consumer's own counter. So a null counter means "ready"
+// (add()), and spawn/spawn_batch/signal assert that fin has one. Skipping
+// the acquire keeps the counter factory's shared free stack off the
+// per-vertex path.
 vertex* dag_engine::new_vertex(vertex* fin, token inc, dec_pair* dpair,
                                std::uint32_t n, bool is_left) {
   vertex* v = alloc_vertex();
-  v->counter = factory_.acquire(n);
+  v->counter = nullptr;
   if (n > 0) {
+    v->counter = factory_.acquire(n);
     // An initial surplus is one increment operation covering n edges (the
     // obligations the new counter starts with) — see engine_stats::edges.
-    stats_.counter_incs.fetch_add(1, std::memory_order_relaxed);
-    stats_.edges.fetch_add(n, std::memory_order_relaxed);
+    tally(&engine_stats::counter_incs);
+    tally(&engine_stats::edges, n);
   }
   v->fin = fin;
   v->inc = inc;
@@ -207,16 +301,7 @@ vertex* dag_engine::new_vertex(vertex* fin, token inc, dec_pair* dpair,
 std::pair<vertex*, vertex*> dag_engine::make() {
   // Final vertex: one pending dependency (the root's signal); no finish of
   // its own — executing it ends the computation.
-  vertex* final_v = alloc_vertex();
-  final_v->counter = factory_.acquire(1);
-  stats_.counter_incs.fetch_add(1, std::memory_order_relaxed);
-  stats_.edges.fetch_add(1, std::memory_order_relaxed);
-  final_v->fin = nullptr;
-  final_v->inc = 0;
-  final_v->dpair = nullptr;
-  final_v->dead = false;
-  final_v->shared_inc = false;
-
+  vertex* final_v = new_vertex(nullptr, 0, nullptr, 1, /*is_left=*/false);
   const token h = final_v->counter->root_token();
   dec_pair* p = uses_tokens_ ? alloc_pair(h, h, 1) : nullptr;
   vertex* root = new_vertex(final_v, h, p, 0, /*is_left=*/true);
@@ -224,7 +309,7 @@ std::pair<vertex*, vertex*> dag_engine::make() {
 }
 
 std::pair<vertex*, vertex*> dag_engine::chain(vertex* u) {
-  stats_.chains.fetch_add(1, std::memory_order_relaxed);
+  tally(&engine_stats::chains);
   assert(!u->dead && "chain on a dead vertex");
   // w inherits u's obligation toward u.fin and waits for v's subtree.
   vertex* w = new_vertex(u->fin, u->inc, u->dpair, 1, u->is_left);
@@ -239,16 +324,17 @@ std::pair<vertex*, vertex*> dag_engine::chain(vertex* u) {
 }
 
 std::pair<vertex*, vertex*> dag_engine::spawn(vertex* u) {
-  stats_.spawns.fetch_add(1, std::memory_order_relaxed);
+  tally(&engine_stats::spawns);
   obs::emit(obs::ev_spawn);
   assert(!u->dead && "spawn on a dead vertex");
   vertex* fin = u->fin;
   assert(fin != nullptr && "spawn requires a finish vertex");
+  assert(fin->counter != nullptr && "a finish vertex always has a counter");
   // One increment for two new vertices: one of them stands for u's
   // continuation, whose obligation u already holds.
   const arrive_result r = fin->counter->arrive(u->inc, u->is_left);
-  stats_.counter_incs.fetch_add(1, std::memory_order_relaxed);
-  stats_.edges.fetch_add(1, std::memory_order_relaxed);
+  tally(&engine_stats::counter_incs);
+  tally(&engine_stats::edges);
   dec_pair* np = nullptr;
   if (uses_tokens_) {
     // Claim AFTER the arrive completed (the paper's key invariant: the
@@ -275,7 +361,8 @@ void dag_engine::spawn_batch_vertices(vertex* u, std::uint32_t k,
   assert(!u->dead && "spawn_batch on a dead vertex");
   vertex* fin = u->fin;
   assert(fin != nullptr && "spawn_batch requires a finish vertex");
-  stats_.spawns.fetch_add(1, std::memory_order_relaxed);
+  assert(fin->counter != nullptr && "a finish vertex always has a counter");
+  tally(&engine_stats::spawns);
   obs::emit(obs::ev_spawn);
   if (k == 1) {
     // Degenerate batch: hand u's obligation to the single child, no new
@@ -290,8 +377,8 @@ void dag_engine::spawn_batch_vertices(vertex* u, std::uint32_t k,
   // obligation accounts for the k-th); this is the amortization the batch
   // API exists for — counter_ops_per_edge drops below 1.
   const arrive_result r = fin->counter->add(u->inc, u->is_left, k - 1);
-  stats_.counter_incs.fetch_add(1, std::memory_order_relaxed);
-  stats_.edges.fetch_add(k - 1, std::memory_order_relaxed);
+  tally(&engine_stats::counter_incs);
+  tally(&engine_stats::edges, k - 1);
   dec_pair* np = nullptr;
   if (uses_tokens_) {
     // Same shape as spawn(): claim u's inherited (higher) handle only after
@@ -312,24 +399,25 @@ void dag_engine::spawn_batch_vertices(vertex* u, std::uint32_t k,
 }
 
 void dag_engine::signal(vertex* u) {
-  stats_.signals.fetch_add(1, std::memory_order_relaxed);
+  tally(&engine_stats::signals);
   vertex* fin = u->fin;
   assert(fin != nullptr && "signal requires a finish vertex");
+  assert(fin->counter != nullptr && "a finish vertex always has a counter");
   const token d = uses_tokens_ ? claim_dec(u) : 0;
-  stats_.counter_decs.fetch_add(1, std::memory_order_relaxed);
+  tally(&engine_stats::counter_decs);
   if (fin->counter->depart(d)) {
     exec_.enqueue(fin);
   }
 }
 
 void dag_engine::add(vertex* v) {
-  if (v->counter->is_zero()) {
+  if (v->counter == nullptr || v->counter->is_zero()) {
     exec_.enqueue(v);
   }
 }
 
 void dag_engine::execute(vertex* v) {
-  stats_.executions.fetch_add(1, std::memory_order_relaxed);
+  tally(&engine_stats::executions);
   vertex* prev_v = tls_current_vertex;
   dag_engine* prev_e = tls_current_engine;
   tls_current_vertex = v;
@@ -347,8 +435,8 @@ void dag_engine::execute(vertex* v) {
   const bool shared = v->shared_inc;
   recycle(v);
   if (should_signal) {
-    stats_.signals.fetch_add(1, std::memory_order_relaxed);
-    stats_.counter_decs.fetch_add(1, std::memory_order_relaxed);
+    tally(&engine_stats::signals);
+    tally(&engine_stats::counter_decs);
     // This vertex never spawned, so its increment handle is dead; let the
     // counter reclaim the handle's node (appendix B) before the depart that
     // may hand `fin` to another worker. Never for a SHARED handle: a sibling

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "dag/vertex.hpp"
 #include "incounter/factory.hpp"
 #include "mem/registry.hpp"
+#include "util/cache_aligned.hpp"
 
 namespace spdag {
 
@@ -41,9 +43,12 @@ class executor {
   virtual void enqueue_drain(outset_drain_task* t);
 };
 
-// Relaxed global tallies; cheap enough to keep on, and the integration tests
-// use them to prove conservation laws (created == recycled, one signal per
-// leaf, ...).
+// The engine's ledger: monotone tallies of dag operations, cheap enough to
+// keep on. The integration tests use them to prove conservation laws
+// (created == recycled, one signal per leaf, ...). The engine keeps one row
+// per thread slot and dag_engine::stats() returns the rows' sum as a
+// snapshot of this same struct; copying a snapshot loads every field. The
+// fields stay atomics so a row can be read while its owner writes it.
 struct engine_stats {
   std::atomic<std::uint64_t> vertices_created{0};
   std::atomic<std::uint64_t> vertices_recycled{0};
@@ -67,13 +72,12 @@ struct engine_stats {
   std::atomic<std::uint64_t> counter_incs{0};
   std::atomic<std::uint64_t> counter_decs{0};
 
-  void reset() noexcept {
-    for (auto* p : {&vertices_created, &vertices_recycled, &spawns, &chains,
-                    &signals, &pairs_created, &pairs_recycled, &executions,
-                    &drains_enqueued, &edges, &counter_incs, &counter_decs}) {
-      p->store(0, std::memory_order_relaxed);
-    }
-  }
+  // One ledger field, for code that walks all of them.
+  using field = std::atomic<std::uint64_t> engine_stats::*;
+
+  engine_stats() = default;
+  engine_stats(const engine_stats& other) noexcept;
+  engine_stats& operator=(const engine_stats&) = delete;
 };
 
 class outset_factory;  // src/outset/factory.hpp
@@ -221,8 +225,16 @@ class dag_engine {
   // registry's mutexed string lookup per future creation.
   object_pool& state_pool(std::size_t bytes, std::size_t align);
   executor& exec() noexcept { return exec_; }
-  engine_stats& stats() noexcept { return stats_; }
   bool uses_tokens() const noexcept { return uses_tokens_; }
+
+  // The ledger summed over every row, minus the reset_stats() baseline.
+  // Exact once the engine is quiescent; mid-run it is a sum of per-row
+  // snapshots taken one after another.
+  engine_stats stats() const noexcept;
+  // Makes stats() read zero from here on. It records the current sums as a
+  // baseline and never writes a row, so it cannot lose an increment a
+  // running thread is making.
+  void reset_stats() noexcept;
 
   // Free cells cached for reuse in the backing pools (tests). Registry-wide:
   // engines sharing one registry see each other's cached cells.
@@ -232,10 +244,9 @@ class dag_engine {
   std::size_t pooled_pairs() const noexcept {
     return pair_pool_->stats().cached();
   }
-  std::size_t live_vertices() const noexcept {
-    return stats_.vertices_created.load(std::memory_order_relaxed) -
-           stats_.vertices_recycled.load(std::memory_order_relaxed);
-  }
+  // Vertices created and not yet recycled, over the engine's lifetime (the
+  // reset_stats() baseline does not apply).
+  std::size_t live_vertices() const noexcept;
 
   // The vertex currently executing on this thread (the paper's this_vertex).
   static vertex* current_vertex() noexcept;
@@ -248,6 +259,10 @@ class dag_engine {
                        bool grouped = false);
   void release_pair_ref(dec_pair* p);
   token claim_dec(vertex* u);
+  // Adds d to field f of the calling thread's ledger row.
+  void tally(engine_stats::field f, std::uint64_t d = 1) noexcept;
+  // Stores the sum of every row into `out`.
+  void sum_rows(engine_stats& out) const noexcept;
 
   counter_factory& factory_;
   outset_factory* outsets_;
@@ -255,7 +270,14 @@ class dag_engine {
   executor& exec_;
   dag_engine_options options_;
   bool uses_tokens_;
-  engine_stats stats_;
+
+  // The ledger. Row i belongs to the thread holding mem::thread_slot() i,
+  // which writes it with single-writer stores (util/single_writer.hpp); the
+  // last row is shared by threads without a slot, which use fetch_add.
+  // Padding keeps every row on cache lines of its own, so the per-vertex
+  // tallies never contend.
+  std::unique_ptr<padded<engine_stats>[]> ledger_;
+  engine_stats baseline_;  // reset_stats(): subtracted by stats()
 
   object_pool* vertex_pool_;
   object_pool* pair_pool_;

@@ -127,7 +127,7 @@ class future_state {
     if (!ready()) {
       while (i < n) {
         const std::uint32_t m = (n - i) < 32u ? (n - i) : 32u;
-        outset_waiter* ws[32];
+        outset_waiter* ws[32] = {};
         for (std::uint32_t j = 0; j < m; ++j) {
           ws[j] = outsets_->acquire_waiter(consumers[i + j], engine);
         }

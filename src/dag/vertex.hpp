@@ -58,7 +58,10 @@ class vertex {
   vertex_body body;
 
   // This vertex's own dependency counter (the paper's query handle points at
-  // it). Zero surplus <=> the vertex is ready to execute.
+  // it). Zero surplus <=> the vertex is ready to execute. Only vertices that
+  // wait carry one: make()'s final vertex and chain()'s continuation. Every
+  // other vertex is never a fin, so nothing arrives on it; it stays null,
+  // which dag_engine::add() reads as ready (see dag_engine::new_vertex).
   dep_counter* counter = nullptr;
 
   // The vertex every path from here must pass through before the enclosing

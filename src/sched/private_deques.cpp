@@ -127,6 +127,13 @@ void private_deque_scheduler::run_drain(std::size_t id, outset_drain_task* t,
   drains_pending_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
+bool private_deque_scheduler::any_busy() const {
+  for (const auto& w : workers_) {
+    if (w->value.busy.load(std::memory_order_acquire)) return true;
+  }
+  return false;
+}
+
 void private_deque_scheduler::unpark_some() {
   if (parked_.load(std::memory_order_acquire) > 0) {
     std::lock_guard<std::mutex> lock(park_mu_);
@@ -223,13 +230,20 @@ void private_deque_scheduler::worker_main(std::size_t id) {
       dag_engine* eng = engine_.load(std::memory_order_acquire);
       assert(eng != nullptr && "work found with no engine attached");
       const bool is_final = (v == stop_vertex_.load(std::memory_order_relaxed));
-      active_.fetch_add(1, std::memory_order_acq_rel);
+      // Same protocol as the ws scheduler (scheduler.cpp): every hand-off
+      // that lets another thread learn of this vertex's effects is a release
+      // operation sequenced after the store of true: a depart, the service's
+      // inflight_ decrement, or, once execute() has returned, the transfer
+      // store in communicate() that gives a child to a thief. A reader that
+      // learned of one and then finds the flag false knows this execute()
+      // has finished.
+      me.busy.store(true, std::memory_order_relaxed);
       obs::gauge_add(obs::g_runnable, -1);
       {
         obs::span_guard sg(obs::sp_work);
         eng->execute(v);
       }
-      active_.fetch_sub(1, std::memory_order_acq_rel);
+      me.busy.store(false, std::memory_order_release);
       me.executions.fetch_add(1, std::memory_order_relaxed);
       if (is_final) {
         std::lock_guard<std::mutex> lock(done_mu_);
@@ -339,8 +353,7 @@ void private_deque_scheduler::end_service() {
 bool private_deque_scheduler::service_idle() const {
   return injected_.size.load(std::memory_order_acquire) == 0 &&
          injected_drains_.size.load(std::memory_order_acquire) == 0 &&
-         drains_pending_.load(std::memory_order_acquire) == 0 &&
-         active_.load(std::memory_order_acquire) == 0;
+         drains_pending_.load(std::memory_order_acquire) == 0 && !any_busy();
 }
 
 void private_deque_scheduler::run(dag_engine& engine, vertex* root,
@@ -367,8 +380,7 @@ void private_deque_scheduler::run(dag_engine& engine, vertex* root,
   // Spin out both so returning from run() implies every vertex is recycled
   // and every drain delivered.
   backoff b;
-  while (active_.load(std::memory_order_acquire) != 0 ||
-         drains_pending_.load(std::memory_order_acquire) != 0) {
+  while (any_busy() || drains_pending_.load(std::memory_order_acquire) != 0) {
     b.pause();
   }
   stop_vertex_.store(nullptr, std::memory_order_release);

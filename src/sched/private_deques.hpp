@@ -98,6 +98,9 @@ class private_deque_scheduler final : public scheduler_base {
     // Companion to the transfer cell: the victim parks the handed-off drain
     // here before publishing drain_given() in `transfer`.
     cache_aligned<std::atomic<outset_drain_task*>> drain_transfer{nullptr};
+    // True while this worker runs execute(); the owner is the only writer.
+    // run()'s epilogue and service_idle() scan every flag (see worker_main).
+    std::atomic<bool> busy{false};
     std::atomic<std::uint64_t> executions{0};
     std::atomic<std::uint64_t> steals{0};
     std::atomic<std::uint64_t> failed_steals{0};
@@ -147,6 +150,8 @@ class private_deque_scheduler final : public scheduler_base {
   // `migrated` = it was enqueued by a different worker (or externally).
   void run_drain(std::size_t id, outset_drain_task* t, bool migrated);
   void unpark_some();
+  // True while some worker is inside execute().
+  bool any_busy() const;
 
   // Failed steal attempts before a worker parks.
   static constexpr std::size_t steal_attempts_before_park = 16;
@@ -176,7 +181,6 @@ class private_deque_scheduler final : public scheduler_base {
   std::atomic<bool> service_{false};
   std::atomic<dag_engine*> engine_{nullptr};
   std::atomic<vertex*> stop_vertex_{nullptr};
-  std::atomic<int> active_{0};
 
   std::mutex done_mu_;
   std::condition_variable done_cv_;

@@ -107,6 +107,13 @@ vertex* scheduler::pop_injected() {
   return v;
 }
 
+bool scheduler::any_busy() const {
+  for (const auto& w : workers_) {
+    if (w->value.busy.load(std::memory_order_acquire)) return true;
+  }
+  return false;
+}
+
 void scheduler::unpark_some() {
   if (parked_.load(std::memory_order_acquire) > 0) {
     std::lock_guard<std::mutex> lock(park_mu_);
@@ -164,14 +171,26 @@ void scheduler::worker_main(std::size_t id) {
       dag_engine* eng = engine_.load(std::memory_order_acquire);
       assert(eng != nullptr && "work found with no engine attached");
       const bool is_final = (v == stop_vertex_.load(std::memory_order_relaxed));
-      active_.fetch_add(1, std::memory_order_acq_rel);
+      // `busy` brackets execute() for run()'s epilogue wait and
+      // service_idle(), which scan every worker's flag with acquire loads.
+      // The relaxed store of true is sequenced before every release
+      // operation through which another thread can learn of this vertex's
+      // effects: the deque push of a child, the depart that makes a fin
+      // ready, the service's inflight_ decrement in a completion body. A
+      // reader that learned of any of them (run() through done_, the
+      // service through inflight_ == 0) therefore reads this true, or the
+      // release store of false after execute(), which also publishes the
+      // vertex's recycle. So a scan that finds every flag false proves that
+      // no execute() the reader depends on is still running.
+      worker& me = workers_[id]->value;
+      me.busy.store(true, std::memory_order_relaxed);
       obs::gauge_add(obs::g_runnable, -1);
       {
         obs::span_guard sg(obs::sp_work);
         eng->execute(v);
       }
-      active_.fetch_sub(1, std::memory_order_acq_rel);
-      workers_[id]->value.executions.fetch_add(1, std::memory_order_relaxed);
+      me.busy.store(false, std::memory_order_release);
+      me.executions.fetch_add(1, std::memory_order_relaxed);
       if (is_final) {
         std::lock_guard<std::mutex> lock(done_mu_);
         done_.store(true, std::memory_order_release);
@@ -240,8 +259,7 @@ void scheduler::end_service() {
 bool scheduler::service_idle() const {
   return injected_size_.load(std::memory_order_acquire) == 0 &&
          drain_size_.load(std::memory_order_acquire) == 0 &&
-         drains_pending_.load(std::memory_order_acquire) == 0 &&
-         active_.load(std::memory_order_acquire) == 0;
+         drains_pending_.load(std::memory_order_acquire) == 0 && !any_busy();
 }
 
 void scheduler::run(dag_engine& engine, vertex* root, vertex* final_v) {
@@ -267,8 +285,7 @@ void scheduler::run(dag_engine& engine, vertex* root, vertex* final_v) {
   // holding pinned future states. Spin out both so that returning from
   // run() implies every vertex is recycled and every drain delivered.
   backoff b;
-  while (active_.load(std::memory_order_acquire) != 0 ||
-         drains_pending_.load(std::memory_order_acquire) != 0) {
+  while (any_busy() || drains_pending_.load(std::memory_order_acquire) != 0) {
     b.pause();
   }
   stop_vertex_.store(nullptr, std::memory_order_release);

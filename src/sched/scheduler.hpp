@@ -75,6 +75,9 @@ class scheduler final : public scheduler_base {
   // workers are still bumping their park counts.
   struct worker {
     chase_lev_deque<vertex> deque;
+    // True while this worker runs execute(); the owner is the only writer.
+    // run()'s epilogue and service_idle() scan every flag (see worker_main).
+    std::atomic<bool> busy{false};
     std::atomic<std::uint64_t> executions{0};
     std::atomic<std::uint64_t> steals{0};
     std::atomic<std::uint64_t> failed_steal_sweeps{0};
@@ -87,6 +90,8 @@ class scheduler final : public scheduler_base {
   // Runs one queued drain task if any; returns whether it did.
   bool run_one_drain(int id);
   void unpark_some();
+  // True while some worker is inside execute().
+  bool any_busy() const;
 
   // Failed steal sweeps before a worker parks.
   static constexpr std::size_t steal_sweeps_before_park = 4;
@@ -128,9 +133,6 @@ class scheduler final : public scheduler_base {
   std::mutex done_mu_;
   std::condition_variable done_cv_;
   std::atomic<bool> done_{true};
-  // Workers executing a vertex right now; run() returns only at zero, so a
-  // completed run implies full quiescence (every vertex recycled).
-  std::atomic<int> active_{0};
 };
 
 }  // namespace spdag

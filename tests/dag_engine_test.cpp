@@ -179,6 +179,43 @@ TEST_P(DagEngineTest, CounterObjectsAreRecycledThroughFactory) {
   EXPECT_LE(factory_->created(), 8u);
 }
 
+TEST_P(DagEngineTest, OnlyVerticesThatWaitCarryACounter) {
+  // make()'s final vertex and chain()'s continuation are the only vertices
+  // anything arrives on; every other vertex is born ready, with no counter.
+  auto [root, final_v] = engine_.make();
+  EXPECT_EQ(root->counter, nullptr);
+  EXPECT_NE(final_v->counter, nullptr);
+  int leaves = 0;
+  root->body = [this, &leaves] {
+    auto [v, w] = engine_.chain(dag_engine::current_vertex());
+    EXPECT_EQ(v->counter, nullptr) << "chain's body";
+    EXPECT_NE(w->counter, nullptr) << "chain's continuation";
+    v->body = [this, &leaves] {
+      auto [a, b] = engine_.spawn(dag_engine::current_vertex());
+      EXPECT_EQ(a->counter, nullptr);
+      EXPECT_EQ(b->counter, nullptr);
+      a->body = [&leaves] { ++leaves; };
+      b->body = [this, &leaves] {
+        vertex* kids[3];
+        engine_.spawn_batch_vertices(dag_engine::current_vertex(), 3, kids);
+        for (vertex* k : kids) {
+          EXPECT_EQ(k->counter, nullptr);
+          k->body = [&leaves] { ++leaves; };
+        }
+        for (vertex* k : kids) engine_.add(k);
+      };
+      engine_.add(a);
+      engine_.add(b);
+    };
+    engine_.add(w);
+    engine_.add(v);
+  };
+  engine_.add(root);
+  exec_.run_all(engine_);
+  EXPECT_EQ(leaves, 4);
+  EXPECT_EQ(engine_.live_vertices(), 0u);
+}
+
 TEST_P(DagEngineTest, DeepChainDoesNotRecurse) {
   // 10k sequential finish blocks; the serial executor's queue (not the C++
   // stack) carries the work, so this must not overflow.

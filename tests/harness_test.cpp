@@ -24,7 +24,7 @@ TEST(Workloads, FaninLeafCountMatchesN) {
   // The spawn tree over n leaves performs exactly n-1 spawns.
   runtime rt(runtime_config{1, "dyn"});
   for (std::uint64_t n : {2ull, 3ull, 7ull, 64ull, 100ull}) {
-    rt.engine().stats().reset();
+    rt.engine().reset_stats();
     fanin(rt, n);
     EXPECT_EQ(rt.engine().stats().spawns.load(), n - 1) << "n=" << n;
   }
@@ -32,7 +32,7 @@ TEST(Workloads, FaninLeafCountMatchesN) {
 
 TEST(Workloads, Indegree2CreatesOneFinishPerSplit) {
   runtime rt(runtime_config{1, "dyn"});
-  rt.engine().stats().reset();
+  rt.engine().reset_stats();
   indegree2(rt, 8);  // splits: 8 -> (4,4) -> (2,2,2,2): 7 splits
   EXPECT_EQ(rt.engine().stats().chains.load(), 7u);
   EXPECT_EQ(rt.engine().stats().spawns.load(), 7u);
@@ -40,7 +40,7 @@ TEST(Workloads, Indegree2CreatesOneFinishPerSplit) {
 
 TEST(Workloads, NonPowerOfTwoSizes) {
   runtime rt(runtime_config{2, "dyn"});
-  rt.engine().stats().reset();
+  rt.engine().reset_stats();
   fanin(rt, 1000);
   EXPECT_EQ(rt.engine().stats().spawns.load(), 999u);
   indegree2(rt, 999);

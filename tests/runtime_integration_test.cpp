@@ -6,9 +6,12 @@
 
 #include <atomic>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "harness/workloads.hpp"
+#include "mem/thread_slot.hpp"
 #include "sched/runtime.hpp"
 
 namespace spdag {
@@ -148,6 +151,91 @@ TEST(TheoryBounds, DepartsMatchArrives) {
   // so totals must balance at quiescence.
   EXPECT_EQ(stats.arrives.load() + stats.root_arrives.load(),
             stats.departs.load() + stats.root_departs.load());
+}
+
+// --- counters only for vertices that wait ---
+
+TEST(LazyCounters, FaninAcquiresOnlyTheFinishCounters) {
+  // A fan-in acquires counters for make()'s final vertex and chain()'s
+  // continuation only; both come back to the factory's pool after each run.
+  runtime rt(runtime_config{4, "dyn"});
+  harness::fanin(rt, 1 << 14);
+  harness::fanin(rt, 1 << 14);
+  EXPECT_LE(rt.factory().created(), 2u);
+}
+
+// --- the per-thread engine ledger ---
+
+void expect_conserved(const engine_stats& s, bool uses_tokens) {
+  EXPECT_GT(s.executions.load(), 0u);
+  EXPECT_EQ(s.executions.load(), s.vertices_created.load());
+  EXPECT_EQ(s.vertices_created.load(), s.vertices_recycled.load());
+  if (uses_tokens) {
+    EXPECT_GT(s.pairs_created.load(), 0u);
+    EXPECT_EQ(s.pairs_created.load(), s.pairs_recycled.load());
+  }
+}
+
+TEST(EngineLedger, ExactAfterParallelFaninAndChurn) {
+  runtime rt(runtime_config{4, "dyn"});
+  const std::uint64_t n = 1 << 15;
+  harness::fanin(rt, n);
+  engine_stats s = rt.engine().stats();
+  expect_conserved(s, rt.engine().uses_tokens());
+  EXPECT_EQ(s.spawns.load(), n - 1);
+
+  rt.engine().reset_stats();
+  const engine_stats zero = rt.engine().stats();
+  EXPECT_EQ(zero.executions.load(), 0u);
+  EXPECT_EQ(zero.vertices_created.load(), 0u);
+  EXPECT_EQ(zero.pairs_created.load(), 0u);
+  EXPECT_EQ(zero.spawns.load(), 0u);
+  EXPECT_EQ(zero.edges.load(), 0u);
+  EXPECT_EQ(rt.engine().live_vertices(), 0u);
+
+  EXPECT_EQ(harness::future_churn(rt, 1 << 12), 1u << 12);
+  expect_conserved(rt.engine().stats(), rt.engine().uses_tokens());
+  EXPECT_EQ(rt.engine().live_vertices(), 0u);
+}
+
+TEST(EngineLedger, SlotlessThreadsCountThroughTheOverflowRow) {
+  // Claim every thread slot: max_thread_slots live holders leave none free,
+  // whatever this process already held. Threads started afterwards (the
+  // runtime's workers and the caller below) have no slot, so every tally
+  // they make lands on the shared overflow row.
+  std::atomic<int> claimed{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> holders;
+  for (int i = 0; i < mem::max_thread_slots; ++i) {
+    holders.emplace_back([&] {
+      mem::thread_slot();
+      claimed.fetch_add(1, std::memory_order_acq_rel);
+      while (!release.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  while (claimed.load(std::memory_order_acquire) < mem::max_thread_slots) {
+    std::this_thread::yield();
+  }
+  {
+    runtime rt(runtime_config{4, "dyn"});
+    const std::uint64_t n = 1 << 14;
+    std::thread caller([&] {
+      ASSERT_EQ(mem::thread_slot(), -1) << "a thread slot was still free";
+      harness::fanin(rt, n);
+      const engine_stats s = rt.engine().stats();
+      expect_conserved(s, rt.engine().uses_tokens());
+      EXPECT_EQ(s.spawns.load(), n - 1);
+      rt.engine().reset_stats();
+      EXPECT_EQ(harness::future_churn(rt, 1 << 10), 1u << 10);
+    });
+    caller.join();
+    expect_conserved(rt.engine().stats(), rt.engine().uses_tokens());
+    EXPECT_EQ(rt.engine().live_vertices(), 0u);
+  }
+  release.store(true, std::memory_order_release);
+  for (auto& t : holders) t.join();
 }
 
 }  // namespace
