@@ -65,14 +65,9 @@ struct runtime_config {
 inline std::unique_ptr<scheduler_base> make_scheduler(const std::string& spec,
                                                       std::size_t workers,
                                                       bool pin_threads) {
-  if (spec == "ws") {
-    return std::make_unique<scheduler>(
-        scheduler_config{workers, pin_threads});
-  }
-  if (spec == "private") {
-    return std::make_unique<private_deque_scheduler>(
-        private_deque_config{workers, pin_threads});
-  }
+  const scheduler_config cfg{workers, pin_threads};
+  if (spec == "ws") return std::make_unique<scheduler>(cfg);
+  if (spec == "private") return std::make_unique<private_deque_scheduler>(cfg);
   throw std::invalid_argument("unknown scheduler spec: " + spec);
 }
 

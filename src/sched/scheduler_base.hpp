@@ -1,5 +1,5 @@
 #pragma once
-// Common interface for sp-dag schedulers.
+// The scheduler core shared by both sp-dag schedulers.
 //
 // Two implementations are provided:
 //   * scheduler               — concurrent Chase-Lev deques (classic work
@@ -9,10 +9,28 @@
 //                               scheduler the paper's own evaluation used)
 // Both are executors (the dag engine pushes ready vertices through
 // enqueue) plus a blocking run-to-completion entry point.
+//
+// scheduler_base owns everything except how work is found: the worker
+// threads and their epoch-pinned loop, the busy-flag execute bracket,
+// parking, the injection queue for non-worker threads, one shared drain
+// lane, drain accounting, run() and service mode, and the per-worker
+// counters behind totals(). A scheduler supplies its queues and two hooks:
+// next_vertex() finds a vertex to execute, and idle_work() runs something
+// else (a drain, or a steal that may yield one) before the worker parks.
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "dag/engine.hpp"
+#include "util/cache_aligned.hpp"
 
 namespace spdag {
 
@@ -36,14 +54,22 @@ struct scheduler_totals {
   std::uint64_t drains_handed_off = 0;
 };
 
+struct scheduler_config {
+  std::size_t workers = 0;  // 0 = hardware_core_count()
+  bool pin_threads = false;
+};
+
 class scheduler_base : public executor {
  public:
-  ~scheduler_base() override = default;
+  ~scheduler_base() override;
+
+  scheduler_base(const scheduler_base&) = delete;
+  scheduler_base& operator=(const scheduler_base&) = delete;
 
   // Executes the dag rooted at `root` until `final_v` has run and every
   // vertex has been recycled (quiescence). Blocking; call from a non-worker
   // thread. The engine must use this scheduler as its executor.
-  virtual void run(dag_engine& engine, vertex* root, vertex* final_v) = 0;
+  void run(dag_engine& engine, vertex* root, vertex* final_v);
 
   // --- resident-service mode (src/service/) --------------------------------
   //
@@ -55,19 +81,142 @@ class scheduler_base : public executor {
   // nothing blocks. end_service spins the scheduler out to idleness and
   // detaches — the caller must guarantee no further roots are injected.
   // Service mode and run() may not overlap.
-  virtual void begin_service(dag_engine& engine) = 0;
-  virtual void end_service() = 0;
+  void begin_service(dag_engine& engine);
+  void end_service();
 
   // True when this scheduler holds no queued or running work: injection
-  // queues empty, no worker mid-execute, no drain task pending. NOT a full
+  // queue empty, no worker mid-execute, no drain task pending. NOT a full
   // quiescence proof by itself — vertices can sit in worker-private deques
   // between executes — so resident-service callers pair it with
   // engine.live_vertices() == 0, which covers anything a deque could hold.
-  virtual bool service_idle() const = 0;
+  bool service_idle() const;
 
-  virtual std::size_t worker_count() const = 0;
-  virtual scheduler_totals totals() const = 0;
-  virtual void reset_totals() = 0;
+  std::size_t worker_count() const noexcept { return rows_.size(); }
+  scheduler_totals totals() const;
+  void reset_totals();
+
+  // Index of the calling worker thread, or -1 for external threads.
+  static int current_worker_id() noexcept;
+
+ protected:
+  explicit scheduler_base(scheduler_config cfg);
+
+  // Thread lifecycle: a derived constructor calls start() last, once its
+  // own per-worker state exists; a derived destructor calls stop() first.
+  // stop() joins the workers and then runs every drain still in the shared
+  // lane on the calling thread. A scheduler that queues drains elsewhere
+  // runs those after stop() and calls run_lane_dry() again for whatever
+  // they re-offload; ~scheduler_base asserts that nothing is left pending.
+  void start();
+  void stop();
+  void run_lane_dry();
+
+  // The vertex worker `id` executes next, or null when it has none.
+  virtual vertex* next_vertex(std::size_t id) = 0;
+  // Called when next_vertex() found nothing: do one piece of other work
+  // (run a drain, steal) and return whether anything was done; false
+  // parks the worker.
+  virtual bool idle_work(std::size_t id) = 0;
+
+  // Per-worker counters are relaxed atomics: they are worker-local on the
+  // hot path (uncontended), but totals()/reset_totals() may run while idle
+  // workers are still bumping their park counts.
+  struct counters {
+    std::atomic<std::uint64_t> executions{0};
+    std::atomic<std::uint64_t> steals{0};
+    std::atomic<std::uint64_t> failed_steal_sweeps{0};
+    std::atomic<std::uint64_t> parks{0};
+    std::atomic<std::uint64_t> drains_executed{0};
+    std::atomic<std::uint64_t> drains_stolen{0};
+    std::atomic<std::uint64_t> drains_handed_off{0};
+  };
+  counters& stats(std::size_t id) noexcept { return rows_[id]->value.stats; }
+
+  // The calling thread's index if it is one of THIS scheduler's workers,
+  // else -1.
+  int my_worker_id() const noexcept;
+  bool stopping() const noexcept {
+    return shutdown_.load(std::memory_order_acquire);
+  }
+
+  // Injection queue for vertices enqueued by non-worker threads.
+  void inject(vertex* v);
+  vertex* pop_injected();
+
+  // Drain accounting. count_drain() must precede the publication of the
+  // task (in the shared lane or any scheduler-private queue), and
+  // run_drain() settles it only after the task has run, so a zero pending
+  // count alone proves that every queue is empty and every drain delivered.
+  void count_drain();
+  // Shared lane: pushes {t, enqueuing worker or -1}; counts and unparks.
+  void push_lane(outset_drain_task* t);
+  // Runs the oldest lane drain on worker `id`; false when the lane is
+  // empty. `lane_hands_off`: a drain from another enqueuer counts as
+  // handed off (the lane is the scheduler's transfer mechanism).
+  bool run_lane_drain(std::size_t id, bool lane_hands_off);
+  // Runs `t` on worker `id` and settles the pending count; `migrated` = it
+  // was enqueued by a different worker (or externally).
+  void run_drain(std::size_t id, outset_drain_task* t, bool migrated);
+  // Runs `t` on the tearing-down thread (workers joined) and settles it.
+  void run_leftover(outset_drain_task* t);
+
+  void unpark_some();
+
+ private:
+  // Mutexed FIFO with a lock-free emptiness probe.
+  template <typename T>
+  struct fifo {
+    std::mutex mu;
+    std::deque<T> items;
+    std::atomic<std::size_t> size{0};
+
+    void push(T item);
+    T pop();  // T{} when empty
+  };
+  // One queued lane drain; `from` is the enqueuing worker (-1 external),
+  // kept to tell migrated drains from self-run ones.
+  struct lane_item {
+    outset_drain_task* task = nullptr;
+    int from = -1;
+  };
+  struct row {
+    // True while this worker runs execute(); the owner is the only writer.
+    // run()'s epilogue and service_idle() scan every flag (see execute()).
+    std::atomic<bool> busy{false};
+    counters stats;
+  };
+
+  void worker_main(std::size_t id);
+  void execute(std::size_t id, vertex* v);
+  void park(std::size_t id);
+  // True while some worker is inside execute().
+  bool any_busy() const;
+
+  // Park timeout; bounds the cost of a lost wakeup.
+  static constexpr std::chrono::microseconds park_timeout{500};
+
+  const bool pin_threads_;
+  std::vector<std::unique_ptr<padded<row>>> rows_;
+  std::vector<std::thread> threads_;
+
+  fifo<vertex*> injected_;
+  fifo<lane_item> lane_;
+  // Counted before publication, settled after the drain ran (see
+  // count_drain); run()'s epilogue, service_idle() and teardown read it.
+  std::atomic<int> drains_pending_{0};
+
+  std::mutex park_mu_;
+  std::condition_variable park_cv_;
+  std::atomic<int> parked_{0};
+
+  std::atomic<bool> shutdown_{false};
+  std::atomic<bool> service_{false};
+  std::atomic<dag_engine*> engine_{nullptr};
+  std::atomic<vertex*> stop_vertex_{nullptr};
+
+  std::mutex done_mu_;
+  std::condition_variable done_cv_;
+  std::atomic<bool> done_{true};
 };
 
 }  // namespace spdag

@@ -28,14 +28,4 @@ std::size_t pin_current_thread(std::size_t core_index) noexcept {
   return static_cast<std::size_t>(-1);
 }
 
-bool pinning_supported() noexcept {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  return pthread_getaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  return false;
-#endif
-}
-
 }  // namespace spdag

@@ -12,14 +12,9 @@ namespace spdag {
 // Number of hardware threads visible to this process (>= 1).
 std::size_t hardware_core_count() noexcept;
 
-// Worker counts to sweep in scalability benchmarks: 1, 2, ... up to
-// max_workers, thinned to at most `points` entries. When the host has fewer
-// hardware threads than max_workers the extra workers are oversubscribed
-// (documented in EXPERIMENTS.md).
-// Returns an increasing sequence ending at max_workers.
+// Pins the calling thread to core `core_index` modulo the core count.
+// Returns that core, or std::size_t(-1) when pinning fails or is
+// unsupported.
 std::size_t pin_current_thread(std::size_t core_index) noexcept;
-
-// True if the last pin attempt on this thread succeeded (diagnostics).
-bool pinning_supported() noexcept;
 
 }  // namespace spdag

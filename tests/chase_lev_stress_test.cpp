@@ -33,11 +33,17 @@ TEST_P(ChaseLevStress, ConservationUnderTheftAndGrowth) {
   items.reserve(kItems);
   for (int i = 0; i < kItems; ++i) items.push_back(std::make_unique<item>(i));
 
+  // The thieves wait for an opening burst of (1 << log_cap) + 1 pushes that
+  // nobody takes from, so the ring has to grow whatever they do afterwards
+  // (free-running thieves can keep a small deque below its capacity).
+  const int burst = (1 << static_cast<int>(log_cap)) + 1;
+  std::atomic<bool> go{false};
   std::vector<std::vector<int>> stolen(static_cast<std::size_t>(n_thieves));
   std::atomic<bool> owner_done{false};
   std::vector<std::thread> thieves;
   for (int t = 0; t < n_thieves; ++t) {
     thieves.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       auto& mine = stolen[static_cast<std::size_t>(t)];
       while (!owner_done.load(std::memory_order_acquire) ||
              d.size_estimate() > 0) {
@@ -49,8 +55,10 @@ TEST_P(ChaseLevStress, ConservationUnderTheftAndGrowth) {
   std::vector<int> popped;
   for (int i = 0; i < kItems; ++i) {
     d.push_bottom(items[static_cast<std::size_t>(i)].get());
-    // Interleave pops at varying density to hit the take-last race often.
-    if ((i % 5) < 2) {
+    if (i + 1 == burst) go.store(true, std::memory_order_release);
+    // After the burst, interleave pops at varying density to hit the
+    // take-last race often.
+    if (i + 1 >= burst && (i % 5) < 2) {
       if (item* it = d.pop_bottom()) popped.push_back(it->value);
     }
   }

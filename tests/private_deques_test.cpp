@@ -172,7 +172,7 @@ TEST(PrivateDequesDrains, ShutdownWithUndrainedQueuesRunsThemWithoutLeaking) {
   constexpr int kDrains = 64;
   std::atomic<int> runs{0};
   {
-    private_deque_scheduler sched(private_deque_config{2, false});
+    private_deque_scheduler sched(scheduler_config{2, false});
     for (int i = 0; i < kDrains; ++i) {
       sched.enqueue_drain(new counting_drain(&runs));
     }
