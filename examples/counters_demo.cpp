@@ -55,13 +55,6 @@ int main(int argc, char** argv) {
 
   const auto& est = rt.engine().stats();
   const scheduler_totals sched = rt.sched().totals();
-  // Net SNZI nodes currently allocated across all pooled in-counters:
-  // fresh pair allocations minus recycled pairs, two nodes per pair,
-  // plus one base node per counter created.
-  const std::uint64_t live_pairs =
-      stats.grow_allocs.load() > stats.pair_recycles.load()
-          ? stats.grow_allocs.load() - stats.pair_recycles.load()
-          : 0;
 
   std::printf("==========\n");
   std::printf("prog counters_demo\n");
@@ -80,10 +73,14 @@ int main(int argc, char** argv) {
   std::printf("nb_steals %llu\n", static_cast<unsigned long long>(sched.steals));
   std::printf("nb_vertices %llu\n",
               static_cast<unsigned long long>(est.vertices_created.load()));
-  std::printf("nb_counters_created %llu\n",
+  // Counters are pool cells, destroyed at release; a recycled cell is not
+  // carved again, so this counts cells, not the counters built in them.
+  std::printf("nb_counter_cells_carved %llu\n",
               static_cast<unsigned long long>(rt.factory().created()));
-  std::printf("nb_incounter_pairs_live %llu\n",
-              static_cast<unsigned long long>(live_pairs));
+  // In-counter child pairs that grows installed fresh from the slab pool
+  // (a released counter returns its pairs to the pool).
+  std::printf("nb_incounter_pairs_grown %llu\n",
+              static_cast<unsigned long long>(stats.grow_allocs.load()));
   std::printf("nb_snzi_arrives %llu\n",
               static_cast<unsigned long long>(stats.arrives.load() +
                                               stats.root_arrives.load()));

@@ -12,7 +12,6 @@
 //   * tokens are opaque uintptr_t so implementations without placement
 //     structure (fetch-and-add) pay nothing for them.
 
-#include <atomic>
 #include <cstdint>
 
 namespace spdag {
@@ -73,12 +72,10 @@ class dep_counter {
   // (Theorem B.3). Default: ignore.
   virtual void abandon(token /*inc*/) {}
 
-  // Non-concurrent reinitialization with surplus n (object pooling).
-  // Token-based counters support n in {0, 1}.
+  // Non-concurrent (re)initialization with surplus n, which the factory
+  // applies to every counter it hands out. Token-based counters support n
+  // in {0, 1}.
   virtual void reset(std::uint32_t n) = 0;
-
-  // Intrusive hook for factory pools.
-  std::atomic<dep_counter*> pool_next{nullptr};
 };
 
 }  // namespace spdag

@@ -1,9 +1,11 @@
 #pragma once
 // Fixed-depth SNZI dependency counter: the paper's second baseline.
 //
-// Allocates a static SNZI tree of 2^{d+1} - 1 nodes per counter and maps
-// each arrive onto a leaf by hashing a per-thread draw, so operations spread
-// evenly. The decrement token is the leaf the arrive targeted — this keeps
+// Builds a static SNZI tree of 2^{d+1} - 1 nodes per counter, so per finish
+// block (one pool cell holds every node below the base,
+// snzi/fixed_tree.hpp), and maps each arrive onto a leaf by hashing a
+// per-thread draw, so operations spread evenly. The decrement token is the
+// leaf the arrive targeted — this keeps
 // the SNZI invariant that surplus never goes negative at any node (paper
 // section 5: "every snzi_depart call targets the same SNZI node that was
 // targeted by a matching snzi_arrive call").
@@ -19,10 +21,12 @@ namespace spdag {
 
 class fixed_snzi_counter final : public dep_counter {
  public:
+  // `cells` is snzi::fixed_tree_pool(registry, depth) (null = the default
+  // registry's).
   explicit fixed_snzi_counter(int depth, std::uint32_t initial = 0,
                               snzi::tree_stats* stats = nullptr,
-                              object_pool* pairs = nullptr)
-      : tree_(depth, 0, stats, pairs) {
+                              object_pool* cells = nullptr)
+      : tree_(depth, 0, stats, cells) {
     reset_surplus(initial);
   }
 
@@ -52,9 +56,9 @@ class fixed_snzi_counter final : public dep_counter {
   bool uses_tokens() const override { return true; }
 
   void reset(std::uint32_t n) override {
-    // The tree structure is static; only surplus needs rebuilding. A fresh
-    // counter from the pool has surplus zero everywhere after the matching
-    // departs of its previous life, so arriving is sufficient.
+    // The tree structure is static; only surplus needs rebuilding. A counter
+    // is reset fresh from construction, or after the matching departs of an
+    // earlier use, so its surplus is zero everywhere and arriving suffices.
     assert(tree_.is_zero() && "resetting a fixed SNZI counter with surplus");
     reset_surplus(n);
   }

@@ -4,11 +4,9 @@
 #include <vector>
 
 #include "mem/epoch.hpp"
-#include "mem/thread_slot.hpp"
 #include "obs/trace.hpp"
 #include "outset/factory.hpp"
 #include "util/rng.hpp"
-#include "util/single_writer.hpp"
 
 namespace spdag {
 
@@ -33,10 +31,6 @@ constexpr engine_stats::field ledger_fields[] = {
     &engine_stats::counter_incs,
     &engine_stats::counter_decs,
 };
-
-// Rows 0..max_thread_slots-1 belong to thread slots; the last is shared.
-constexpr std::size_t ledger_rows = mem::max_thread_slots + 1;
-constexpr std::size_t overflow_row = mem::max_thread_slots;
 }  // namespace
 
 engine_stats::engine_stats(const engine_stats& other) noexcept {
@@ -79,22 +73,12 @@ void executor::enqueue_drain(outset_drain_task* t) {
 void dag_engine::tally(engine_stats::field f, std::uint64_t d) noexcept {
   // Release stores, so that live_vertices()' acquire loads see every
   // creation that preceded a counted recycle (see there).
-  const int slot = mem::thread_slot();
-  if (slot >= 0) {
-    bump(ledger_[static_cast<std::size_t>(slot)].value.*f, d,
-         std::memory_order_release);
-  } else {
-    (ledger_[overflow_row].value.*f).fetch_add(d, std::memory_order_release);
-  }
+  ledger_.add(f, d, std::memory_order_release);
 }
 
 void dag_engine::sum_rows(engine_stats& out) const noexcept {
   for (engine_stats::field f : ledger_fields) {
-    std::uint64_t sum = 0;
-    for (std::size_t r = 0; r < ledger_rows; ++r) {
-      sum += (ledger_[r].value.*f).load(std::memory_order_relaxed);
-    }
-    (out.*f).store(sum, std::memory_order_relaxed);
+    (out.*f).store(ledger_.sum(f), std::memory_order_relaxed);
   }
 }
 
@@ -118,16 +102,10 @@ std::size_t dag_engine::live_vertices() const noexcept {
   // visible to the created sum read after it: the difference never
   // underflows, and a zero is never reached by missing a live vertex's
   // creation while counting its recycle.
-  std::uint64_t recycled = 0;
-  for (std::size_t r = 0; r < ledger_rows; ++r) {
-    recycled +=
-        ledger_[r].value.vertices_recycled.load(std::memory_order_acquire);
-  }
-  std::uint64_t created = 0;
-  for (std::size_t r = 0; r < ledger_rows; ++r) {
-    created +=
-        ledger_[r].value.vertices_created.load(std::memory_order_acquire);
-  }
+  const std::uint64_t recycled =
+      ledger_.sum(&engine_stats::vertices_recycled, std::memory_order_acquire);
+  const std::uint64_t created =
+      ledger_.sum(&engine_stats::vertices_created, std::memory_order_acquire);
   return static_cast<std::size_t>(created - recycled);
 }
 
@@ -166,7 +144,6 @@ dag_engine::dag_engine(counter_factory& factory, executor& exec,
                                       : &default_pool_registry()),
       exec_(exec),
       options_(options),
-      ledger_(std::make_unique<padded<engine_stats>[]>(ledger_rows)),
       vertex_pool_(&pools_->get("vertex", sizeof(vertex), alignof(vertex))),
       pair_pool_(&pools_->get("dec_pair", sizeof(dec_pair), alignof(dec_pair))) {
   // Counters from one factory are homogeneous; probe once.

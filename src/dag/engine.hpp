@@ -19,6 +19,7 @@
 #include "dag/vertex.hpp"
 #include "incounter/factory.hpp"
 #include "mem/registry.hpp"
+#include "mem/slot_ledger.hpp"
 #include "util/cache_aligned.hpp"
 
 namespace spdag {
@@ -271,12 +272,9 @@ class dag_engine {
   dag_engine_options options_;
   bool uses_tokens_;
 
-  // The ledger. Row i belongs to the thread holding mem::thread_slot() i,
-  // which writes it with single-writer stores (util/single_writer.hpp); the
-  // last row is shared by threads without a slot, which use fetch_add.
-  // Padding keeps every row on cache lines of its own, so the per-vertex
-  // tallies never contend.
-  std::unique_ptr<padded<engine_stats>[]> ledger_;
+  // The ledger: one row per thread slot (mem/slot_ledger.hpp), so the
+  // per-vertex tallies never contend.
+  slot_ledger<engine_stats> ledger_;
   engine_stats baseline_;  // reset_stats(): subtracted by stats()
 
   object_pool* vertex_pool_;

@@ -61,7 +61,7 @@ class future_state {
   ~future_state() {
     // release() scrubs registrations left behind by programs that abandoned
     // the future (its producer must still have run, or the enclosing finish
-    // could never have fired) and re-pools the out-set.
+    // could never have fired) and destroys the out-set into its pool cell.
     outsets_->release(waiters_);
     if (ready()) reinterpret_cast<T*>(&storage_)->~T();
   }

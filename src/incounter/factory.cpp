@@ -8,13 +8,6 @@
 
 namespace spdag {
 
-dep_counter* counter_factory::acquire(std::uint32_t initial) {
-  dep_counter* c = bank_.pop();
-  if (c == nullptr) c = create_pooled(bank_);
-  c->reset(initial);
-  return c;
-}
-
 std::unique_ptr<dep_counter> faa_factory::create() {
   return std::make_unique<faa_counter>();
 }
@@ -24,11 +17,11 @@ dep_counter* faa_factory::create_pooled(object_bank<dep_counter>& bank) {
 }
 
 std::unique_ptr<dep_counter> fixed_snzi_factory::create() {
-  return std::make_unique<fixed_snzi_counter>(depth_, 0, stats_, pair_pool_);
+  return std::make_unique<fixed_snzi_counter>(depth_, 0, stats_, tree_pool_);
 }
 
 dep_counter* fixed_snzi_factory::create_pooled(object_bank<dep_counter>& bank) {
-  return bank.emplace<fixed_snzi_counter>(depth_, 0u, stats_, pair_pool_);
+  return bank.emplace<fixed_snzi_counter>(depth_, 0u, stats_, tree_pool_);
 }
 
 std::unique_ptr<dep_counter> incounter_factory::create() {
@@ -46,7 +39,7 @@ dep_counter* incounter_factory::create_pooled(object_bank<dep_counter>& bank) {
 std::unique_ptr<counter_factory> make_counter_factory(const std::string& spec,
                                                       snzi::tree_stats* stats,
                                                       pool_registry* pools) {
-  if (spec == "faa") return std::make_unique<faa_factory>();
+  if (spec == "faa") return std::make_unique<faa_factory>(pools);
   if (spec.rfind("snzi:", 0) == 0) {
     const int depth = std::stoi(spec.substr(5));
     return std::make_unique<fixed_snzi_factory>(depth, stats, pools);

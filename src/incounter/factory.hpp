@@ -1,14 +1,19 @@
 #pragma once
-// Pooled factories for dependency counters.
+// Factories for dependency counters.
 //
-// The indegree-2 benchmark (paper Figure 10) creates one finish block — and
-// hence one counter — per pair of asyncs, millions of times. The factories
-// pool retired counters through an object_bank (src/mem/object_bank.hpp):
-// counter objects are registry pool cells recycled over an intrusive stack,
-// so allocation cost (the very thing the paper's fixed-SNZI baseline
-// suffers from at large depths) is the structure's own, not malloc's — and
-// the counters' own storage shows up in the same registry stats and trim
-// accounting as every other runtime structure.
+// The indegree-2 benchmark (paper Figure 10) creates one finish block, and
+// hence one counter, per pair of asyncs, millions of times. acquire()
+// constructs a counter in a cell of the factory's registry pool, through an
+// object_bank (src/mem/object_bank.hpp), and release() destroys it there. A
+// released cell parks in the releasing thread's magazine, so the slab pools'
+// per-thread magazines are the one recycling layer for counters, as for
+// every other runtime object: no list shared by all workers sits on the
+// per-finish path, and a trim can release the counters' slabs.
+//
+// What a counter costs per acquire is therefore its own construction. A
+// fixed-depth SNZI counter builds its whole tree each time, as the paper's
+// baseline "allocates for each finish block": one cell of a per-depth pool
+// holds every node below the base (snzi/fixed_tree.hpp).
 
 #include <cstdint>
 #include <memory>
@@ -18,6 +23,7 @@
 #include "incounter/incounter.hpp"
 #include "mem/object_bank.hpp"
 #include "mem/registry.hpp"
+#include "snzi/fixed_tree.hpp"
 
 namespace spdag {
 
@@ -31,29 +37,35 @@ class counter_factory {
       : bank_(pools != nullptr ? *pools : default_pool_registry(), "counter") {}
   virtual ~counter_factory() = default;
 
-  // Thread-safe: pops a pooled counter (or creates one) reset to `initial`.
-  dep_counter* acquire(std::uint32_t initial);
+  // Thread-safe: a fresh counter in a pool cell, reset to `initial`.
+  dep_counter* acquire(std::uint32_t initial) {
+    dep_counter* c = create_pooled(bank_);
+    c->reset(initial);
+    return c;
+  }
 
-  // Thread-safe: returns a drained counter to the pool.
-  void release(dep_counter* c) { bank_.push(c); }
+  // Thread-safe: destroys a drained counter and returns its cell.
+  void release(dep_counter* c) { bank_.destroy(c); }
 
   // Short machine name ("faa", "snzi:4", "dyn:100") and the label the paper's
   // plots use ("Fetch & Add", "SNZI depth=4", "in-counter").
   virtual std::string name() const = 0;
   virtual std::string display_name() const = 0;
 
-  // Counters created over the factory's lifetime (pool effectiveness).
-  std::size_t created() const { return bank_.created(); }
+  // Cells the backing pool ever carved (registry-scoped: factories sharing
+  // one registry and counter geometry share the count). It stops moving
+  // once released counters' cells are recycled.
+  std::size_t created() const { return bank_.carved(); }
 
-  // A fresh, unpooled counter owned by the caller (decorators wrap these —
-  // deliberately heap-allocated, NOT a bank cell: the caller's unique_ptr
+  // A fresh, unpooled counter owned by the caller (decorators wrap these;
+  // deliberately heap-allocated, NOT a pool cell: the caller's unique_ptr
   // must outlive nothing but itself).
   std::unique_ptr<dep_counter> make_unpooled() { return create(); }
 
  protected:
   // Unpooled construction (make_unpooled / decorators).
   virtual std::unique_ptr<dep_counter> create() = 0;
-  // Pooled construction: emplace the concrete type into the bank.
+  // Pooled construction: emplace the concrete type through the bank.
   virtual dep_counter* create_pooled(object_bank<dep_counter>& bank) = 0;
 
  private:
@@ -64,6 +76,7 @@ class counter_factory {
 
 class faa_factory final : public counter_factory {
  public:
+  using counter_factory::counter_factory;
   std::string name() const override { return "faa"; }
   std::string display_name() const override { return "Fetch & Add"; }
 
@@ -74,17 +87,17 @@ class faa_factory final : public counter_factory {
 
 class fixed_snzi_factory final : public counter_factory {
  public:
-  // `pools` supplies child pairs (null = default registry); the pool is
-  // resolved once here, so create() never takes the registry lock. Counters
-  // from one factory share it: pooled counters recycled at different times
-  // draw from one set of slabs.
+  // `pools` supplies the trees' node cells (null = default registry); the
+  // per-depth pool is resolved once here, so create() never takes the
+  // registry lock. Throws std::invalid_argument for a depth outside
+  // [0, 24].
   explicit fixed_snzi_factory(int depth, snzi::tree_stats* stats = nullptr,
                               pool_registry* pools = nullptr)
       : counter_factory(pools),
         depth_(depth),
         stats_(stats),
-        pair_pool_(&snzi::child_pair_pool(
-            pools != nullptr ? *pools : default_pool_registry())) {}
+        tree_pool_(snzi::fixed_tree_pool(
+            pools != nullptr ? *pools : default_pool_registry(), depth)) {}
   std::string name() const override { return "snzi:" + std::to_string(depth_); }
   std::string display_name() const override {
     return "SNZI depth=" + std::to_string(depth_);
@@ -98,12 +111,13 @@ class fixed_snzi_factory final : public counter_factory {
  private:
   int depth_;
   snzi::tree_stats* stats_;
-  object_pool* pair_pool_;
+  object_pool* tree_pool_;
 };
 
 class incounter_factory final : public counter_factory {
  public:
-  // See fixed_snzi_factory on `pools` / pair-pool sharing.
+  // `pools` supplies child pairs (null = default registry); the pool is
+  // resolved once here, so create() never takes the registry lock.
   explicit incounter_factory(incounter_config cfg = {},
                              pool_registry* pools = nullptr)
       : counter_factory(pools),
@@ -139,7 +153,8 @@ class incounter_factory final : public counter_factory {
 // specs for future waiter broadcast — is parsed by make_outset_factory in
 // src/outset/factory.hpp; the allocation layer both draw from is selected
 // by make_pool_registry in src/mem/registry.hpp.)
-// `pools` is the registry SNZI child pairs are drawn from (null = default).
+// `pools` is the registry counters and their SNZI nodes are drawn from
+// (null = default).
 std::unique_ptr<counter_factory> make_counter_factory(
     const std::string& spec, snzi::tree_stats* stats = nullptr,
     pool_registry* pools = nullptr);

@@ -1,115 +1,79 @@
 #pragma once
-// object_bank<Base>: registry-backed pooling for polymorphic runtime
+// object_bank<Base>: registry-pool construction for polymorphic runtime
 // objects (dependency counters, out-sets).
 //
-// The counter and out-set factories used to carry their own object pooling:
-// a make_unique per fresh object, a vector<unique_ptr> for ownership, and a
-// Treiber stack of retirees. That worked, but it left the factories' own
-// allocations — the one malloc the pooled-allocation story didn't cover —
-// outside the pool_registry, invisible to its stats and exempt from its
-// trim machinery. An object_bank closes that gap: objects are CELLS of a
-// registry pool (one pool per concrete geometry, same keying as every other
-// runtime structure), the bank tracks them for lifetime ownership, and the
-// recycle path stays the same intrusive tagged Treiber stack (T must expose
-// `std::atomic<T*> pool_next`).
+// A factory creates one concrete type, whose geometry only its
+// create_pooled() knows. The bank does two jobs for it: the first emplace<T>
+// binds the registry pool for T's geometry (one registry lookup per bank,
+// never one per object), and destroy() runs a Base*'s virtual destructor and
+// hands the cell back to that pool. Recycling is the pool's own: a
+// destroyed object's cell parks in the releasing thread's magazine
+// (src/mem/slab_pool.hpp), the same single recycling layer every other
+// runtime object uses. The bank keeps no free list and no record of its
+// objects, so a trim can release their slabs like any other cells'.
 //
-// Homogeneity: a bank serves exactly one concrete type — the first
-// emplace<T> binds the pool geometry and destroy function, and every later
-// emplace must use the same T (asserted). That mirrors the factories, each
-// of which creates a single concrete counter/out-set type.
-//
-// Lifetime: cells are allocated from the registry and stay LIVE (from the
-// pool's point of view) until the bank is destroyed — the free stack parks
-// constructed objects for reuse, it never returns their storage. So a
-// trim_live() can never retire a slab under a banked object, and the
-// stack's pop-side stale `pool_next` read stays a read of live, mapped
-// memory guarded by the tagged head. The registry must outlive the bank
-// (the runtime already orders registry destruction last).
+// Homogeneity: a bank serves exactly one geometry. Every emplace must use a
+// T of the size the first one bound (asserted). The registry must outlive
+// the bank and every object the bank made.
 
 #include <atomic>
 #include <cassert>
 #include <cstddef>
-#include <mutex>
 #include <string>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "mem/registry.hpp"
-#include "util/treiber_stack.hpp"
 
 namespace spdag {
 
 template <typename Base>
 class object_bank {
+  static_assert(std::has_virtual_destructor_v<Base>,
+                "destroy() deletes through Base*");
+
  public:
   // `name` keys the backing pool in the registry ("counter", "outset");
   // the concrete geometry is appended by pool_registry::get at first use.
   object_bank(pool_registry& registry, std::string name)
       : registry_(registry), name_(std::move(name)) {}
 
-  ~object_bank() {
-    for (Base* obj : all_) destroy_(*pool_.load(std::memory_order_relaxed), obj);
-  }
-
   object_bank(const object_bank&) = delete;
   object_bank& operator=(const object_bank&) = delete;
 
-  // Constructs a T in a registry pool cell and tracks it for the bank's
-  // lifetime. Thread-safe. Returns it LIVE (not on the free stack): the
-  // caller hands it out, and it comes back later through push().
+  // Constructs a T in a cell of the bound pool. Thread-safe.
   template <typename T, typename... Args>
   T* emplace(Args&&... args) {
     static_assert(std::is_base_of_v<Base, T>,
                   "object_bank emplaces derived types only");
     object_pool* p = pool_.load(std::memory_order_acquire);
     if (p == nullptr) {
-      std::lock_guard<std::mutex> lock(all_mu_);
-      p = pool_.load(std::memory_order_relaxed);
-      if (p == nullptr) {
-        p = &registry_.get(name_, sizeof(T), alignof(T));
-        destroy_ = [](object_pool& pool, Base* b) noexcept {
-          pool_delete(pool, static_cast<T*>(b));
-        };
-        pool_.store(p, std::memory_order_release);
-      }
+      // Racing binders get the same pool: the registry is get-or-create.
+      p = &registry_.get(name_, sizeof(T), alignof(T));
+      pool_.store(p, std::memory_order_release);
     }
     assert(p->object_bytes() == sizeof(T) &&
            "object_bank is single-geometry: one concrete type per bank");
-    T* obj = pool_new<T>(*p, std::forward<Args>(args)...);
-    {
-      std::lock_guard<std::mutex> lock(all_mu_);
-      all_.push_back(obj);
-    }
-    return obj;
+    return pool_new<T>(*p, std::forward<Args>(args)...);
   }
 
-  // Recycle stack: pop a retired object (nullptr when empty) / park one.
-  Base* pop() noexcept { return free_.pop(); }
-  void push(Base* obj) noexcept { free_.push(obj); }
-
-  // Objects ever constructed (pool effectiveness: created() stops moving
-  // once the working set recycles).
-  std::size_t created() const {
-    std::lock_guard<std::mutex> lock(all_mu_);
-    return all_.size();
+  // Destroys an object emplace() made and returns its cell. Thread-safe.
+  void destroy(Base* obj) noexcept {
+    void* cell = dynamic_cast<void*>(obj);  // the most-derived object
+    obj->~Base();
+    pool_.load(std::memory_order_acquire)->deallocate(cell);
   }
 
-  // Visits every object ever created (live or parked) — totals() sums.
-  template <typename F>
-  void for_each(F&& f) const {
-    std::lock_guard<std::mutex> lock(all_mu_);
-    for (Base* obj : all_) f(*obj);
+  // Cells the bound pool ever carved; 0 before the first emplace.
+  std::size_t carved() const {
+    const object_pool* p = pool_.load(std::memory_order_acquire);
+    return p != nullptr ? p->stats().carved : 0;
   }
 
  private:
   pool_registry& registry_;
   std::string name_;
   std::atomic<object_pool*> pool_{nullptr};
-  void (*destroy_)(object_pool&, Base*) noexcept = nullptr;
-  treiber_stack<Base> free_;
-  mutable std::mutex all_mu_;
-  std::vector<Base*> all_;
 };
 
 }  // namespace spdag

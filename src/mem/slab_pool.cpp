@@ -14,7 +14,7 @@ namespace spdag {
 namespace {
 
 // Tagged 48-bit pointer + 16-bit monotone tag (canonical user-space
-// addresses), the same ABA defense as util/treiber_stack.
+// addresses): the tag defeats ABA between a pop's head read and its CAS.
 constexpr std::uint64_t ptr_mask = (1ULL << 48) - 1;
 
 std::uint64_t pack(void* p, std::uint64_t tag) noexcept {

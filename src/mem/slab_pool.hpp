@@ -12,8 +12,8 @@
 //      [mag_cap_min, mag_cap_max] cells, with refill/flush batch = cap/2 —
 //      so a pool of 16-byte waiter records runs deep magazines while a pool
 //      of 512-byte states runs shallow ones, for the same cache footprint.
-//   2. A lock-free global recycle list (tagged-pointer Treiber stack, the
-//      same ABA defense as util/treiber_stack). Magazines refill from it in
+//   2. A lock-free global recycle list (a Treiber stack whose head carries
+//      a monotone tag against ABA). Magazines refill from it in
 //      batches when empty and flush half their cells to it when full; it is
 //      what makes cross-worker frees cheap — consumer B freeing a future
 //      state worker A allocated just fills B's magazine, and the overflow

@@ -1,8 +1,10 @@
 #include "outset/factory.hpp"
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "mem/thread_slot.hpp"
 #include "outset/simple_outset.hpp"
 #include "util/cache_aligned.hpp"
 
@@ -30,6 +32,20 @@ std::uint64_t parse_spec_u64(const std::string& field,
   }
 }
 
+// The counters release() folds into the factory's ledger, and where each
+// lands in outset_totals.
+using totals_row = detail::outset_totals_row;
+constexpr std::pair<slot_ledger<totals_row>::field,
+                    std::uint64_t outset_totals::*>
+    folded_fields[] = {
+        {&totals_row::adds, &outset_totals::adds},
+        {&totals_row::add_cas_retries, &outset_totals::add_cas_retries},
+        {&totals_row::rejected_adds, &outset_totals::rejected_adds},
+        {&totals_row::delivered, &outset_totals::delivered},
+        {&totals_row::subtrees_offloaded, &outset_totals::subtrees_offloaded},
+        {&totals_row::group_adds, &outset_totals::group_adds},
+};
+
 }  // namespace
 
 outset_factory::outset_factory(pool_registry* pools)
@@ -37,15 +53,14 @@ outset_factory::outset_factory(pool_registry* pools)
       waiter_pool_(&outset_waiter_pool(*pools_)),
       bank_(*pools_, "outset") {}
 
-outset* outset_factory::acquire() {
-  outset* o = bank_.pop();
-  if (o == nullptr) o = create_pooled(bank_);
-  return o;
-}
-
 void outset_factory::release(outset* o) {
   o->reset(&repool_waiter, this);
-  bank_.push(o);
+  const outset_totals t = o->totals();
+  const int slot = mem::thread_slot();
+  for (const auto& [row, field] : folded_fields) {
+    released_.add_at(slot, row, t.*field);
+  }
+  bank_.destroy(o);
 }
 
 outset_waiter* outset_factory::acquire_waiter(vertex* consumer,
@@ -62,7 +77,7 @@ std::size_t outset_factory::waiters_created() const {
 
 outset_totals outset_factory::totals() const {
   outset_totals t;
-  bank_.for_each([&t](const outset& o) { t += o.totals(); });
+  for (const auto& [row, field] : folded_fields) t.*field = released_.sum(row);
   return t;
 }
 
@@ -73,15 +88,15 @@ outset* simple_outset_factory::create_pooled(object_bank<outset>& bank) {
 tree_outset_factory::tree_outset_factory(tree_outset_config cfg,
                                          pool_registry* pools)
     : outset_factory(pools), cfg_(cfg) {
-  // Every tree this factory creates resolves its group/waiter/drain pools
-  // from the factory's registry, so pooled out-sets recycled at different
-  // times draw from one set of slabs — and destruction-stranded waiter
-  // records land back in the pool acquire_waiter draws from.
+  // Every tree this factory creates draws its groups, waiters and drains
+  // from the factory's registry, so destruction-stranded waiter records land
+  // back in the pool acquire_waiter draws from. Resolved once, here.
   cfg_.pools = &this->pools();
+  tree_pools_ = tree_outset::resolve_pools(cfg_);
 }
 
 outset* tree_outset_factory::create_pooled(object_bank<outset>& bank) {
-  return bank.emplace<tree_outset>(cfg_);
+  return bank.emplace<tree_outset>(cfg_, tree_pools_);
 }
 
 std::unique_ptr<outset_factory> make_outset_factory(const std::string& spec,

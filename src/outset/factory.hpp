@@ -1,12 +1,18 @@
 #pragma once
-// Pooled factories for out-sets, mirroring incounter/factory.hpp.
+// Factories for out-sets, mirroring incounter/factory.hpp.
 //
 // Future-churn workloads (the fan-out analogue of the paper's Figure 10)
-// create one future — and hence one out-set — per iteration, millions of
-// times. The factory pools retired out-sets through an object_bank
-// (src/mem/object_bank.hpp — out-set objects are registry pool cells
-// recycled over an intrusive stack) and waiter records directly as slab
-// cells, so the benchmarks measure the structure's own cost, not malloc's.
+// create one future, and hence one out-set, per iteration, millions of
+// times. acquire() constructs an out-set in a cell of the factory's
+// registry pool, through an object_bank (src/mem/object_bank.hpp), and
+// release() scrubs and destroys it there; waiter records are slab cells
+// too. The slab pools' per-thread magazines are the one recycling layer,
+// so the benchmarks measure the structure's own cost, not malloc's, and no
+// list shared by all workers sits on the per-future path.
+//
+// totals() cannot walk objects that no longer exist, so release() folds
+// each out-set's counters into the releasing thread's row of a
+// slot_ledger (src/mem/slot_ledger.hpp): no shared write per release.
 //
 // Spec strings (accepted with or without the "outset:" prefix):
 //   "simple"                     single CAS-list head (the baseline)
@@ -32,20 +38,33 @@
 //                                never-grow).
 // Throws std::invalid_argument on anything else.
 //
-// Waiter records and tree node groups are slab-pool cells from the given
-// pool registry (src/mem/), so a factory is a thin directory: it pools only
-// the polymorphic out-set objects themselves.
+// Out-sets, waiter records and tree node groups are all slab-pool cells
+// from the given pool registry (src/mem/).
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 
 #include "mem/object_bank.hpp"
 #include "mem/registry.hpp"
+#include "mem/slot_ledger.hpp"
 #include "outset/outset.hpp"
 #include "outset/tree_outset.hpp"
 
 namespace spdag {
+
+namespace detail {
+// outset_totals as a slot_ledger row (outset_factory::totals()).
+struct outset_totals_row {
+  std::atomic<std::uint64_t> adds{0};
+  std::atomic<std::uint64_t> add_cas_retries{0};
+  std::atomic<std::uint64_t> rejected_adds{0};
+  std::atomic<std::uint64_t> delivered{0};
+  std::atomic<std::uint64_t> subtrees_offloaded{0};
+  std::atomic<std::uint64_t> group_adds{0};
+};
+}  // namespace detail
 
 class outset_factory {
  public:
@@ -55,11 +74,11 @@ class outset_factory {
   explicit outset_factory(pool_registry* pools = nullptr);
   virtual ~outset_factory() = default;
 
-  // Thread-safe: pops a pooled out-set (or creates one), pristine.
-  outset* acquire();
+  // Thread-safe: a fresh out-set in a pool cell.
+  outset* acquire() { return create_pooled(bank_); }
 
   // Thread-safe: scrubs `o` (returning any never-delivered waiters to the
-  // waiter pool) and returns it to the out-set pool.
+  // waiter pool), folds its counters into totals(), and destroys it.
   void release(outset* o);
 
   // Thread-safe waiter-record pool (one slab cell per registration).
@@ -70,29 +89,32 @@ class outset_factory {
   virtual std::string name() const = 0;
   virtual std::string display_name() const = 0;
 
-  // Out-sets created over the factory's lifetime (pool effectiveness).
-  std::size_t created() const { return bank_.created(); }
-  // Waiter cells ever carved by the backing pool. Registry-scoped: factories
-  // sharing one registry share the count.
+  // Out-set cells ever carved by the backing pool. Like waiters_created(),
+  // registry-scoped: factories sharing one registry (and out-set geometry)
+  // share the count. It stops moving once released cells are recycled.
+  std::size_t created() const { return bank_.carved(); }
+  // Waiter cells ever carved by the backing pool.
   std::size_t waiters_created() const;
 
   pool_registry& pools() const noexcept { return *pools_; }
 
-  // Instrumentation summed over every out-set this factory ever created
-  // (counters are monotone across pooling generations). The headline stat:
-  // totals().add_cas_retries / totals().adds is the per-registration retry
-  // rate, which stays flat for the tree as consumer counts grow and climbs
-  // for the single-cell baseline.
+  // Instrumentation summed over every out-set this factory released. An
+  // out-set's counts join at its release, so at quiescence, once every
+  // future is gone, this covers every out-set the factory made. The
+  // headline stat: totals().add_cas_retries / totals().adds is the
+  // per-registration retry rate, which stays flat for the tree as consumer
+  // counts grow and climbs for the single-cell baseline.
   outset_totals totals() const;
 
  protected:
-  // Pooled construction: emplace the concrete out-set type into the bank.
+  // Pooled construction: emplace the concrete out-set type through the bank.
   virtual outset* create_pooled(object_bank<outset>& bank) = 0;
 
  private:
   pool_registry* pools_;
   object_pool* waiter_pool_;
   object_bank<outset> bank_;
+  slot_ledger<detail::outset_totals_row> released_;
 };
 
 // --- concrete factories ---
@@ -136,6 +158,7 @@ class tree_outset_factory final : public outset_factory {
 
  private:
   tree_outset_config cfg_;
+  tree_outset::pool_set tree_pools_;
 };
 
 // Parses an out-set spec (see file comment). `pools` supplies waiter and

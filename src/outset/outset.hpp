@@ -19,9 +19,10 @@
 //                The parallel overload additionally hands subtree-drain
 //                tasks (outset_drain_task) to a caller-supplied spawner so
 //                the walk itself runs on many workers; see below.
-//   reset(f)     non-concurrent reinitialization for object pooling; any
-//                never-delivered waiters are handed to f for reclamation
-//                (an abandoned future's registrations).
+//   reset(f)     non-concurrent reinitialization, which the factory runs
+//                before it destroys a released out-set; any never-delivered
+//                waiters are handed to f for reclamation (an abandoned
+//                future's registrations).
 //
 // The add/finalize race is resolved *per node* with a terminated sentinel
 // installed in each list head (and, for the tree implementation, in each
@@ -171,8 +172,6 @@ class outset {
     t.group_adds = group_adds_.load(std::memory_order_relaxed);
     return t;
   }
-
-  std::atomic<outset*> pool_next{nullptr};  // factory pool linkage
 
  protected:
   // Distinguished list-head value marking a node as finalized. Never

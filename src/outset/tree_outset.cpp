@@ -44,12 +44,20 @@ struct tree_outset::drain_task final : outset_drain_task {
   }
 };
 
-tree_outset::tree_outset(tree_outset_config cfg) : cfg_(cfg) {
+tree_outset::pool_set tree_outset::resolve_pools(
+    const tree_outset_config& cfg) {
   pool_registry& pools =
-      cfg_.pools != nullptr ? *cfg_.pools : default_pool_registry();
-  groups_ = &tree_outset_group_pool(pools, cfg_.fanout);
-  waiters_ = &outset_waiter_pool(pools);
-  drains_ = &pools.get("outset_drain", sizeof(drain_task), alignof(drain_task));
+      cfg.pools != nullptr ? *cfg.pools : default_pool_registry();
+  return {&tree_outset_group_pool(pools, cfg.fanout),
+          &outset_waiter_pool(pools),
+          &pools.get("outset_drain", sizeof(drain_task), alignof(drain_task))};
+}
+
+tree_outset::tree_outset(const tree_outset_config& cfg, const pool_set& pools)
+    : cfg_(cfg),
+      groups_(pools.groups),
+      waiters_(pools.waiters),
+      drains_(pools.drains) {
   assert(cfg_.fanout >= 2 && "a tree out-set needs at least two children");
 }
 

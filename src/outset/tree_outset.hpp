@@ -111,7 +111,20 @@ struct tree_outset_config {
 
 class tree_outset final : public outset {
  public:
-  explicit tree_outset(tree_outset_config cfg = {});
+  // The registry pools a tree draws from. Each lookup takes the registry
+  // mutex, so a factory resolves them once and hands them to every tree it
+  // builds (one construction per future).
+  struct pool_set {
+    object_pool* groups;   // one `fanout`-node group per cell
+    object_pool* waiters;  // registry waiter pool (destructor reclamation)
+    object_pool* drains;   // drain_task cells for the parallel finalize
+  };
+  static pool_set resolve_pools(const tree_outset_config& cfg);
+
+  explicit tree_outset(tree_outset_config cfg = {})
+      : tree_outset(cfg, resolve_pools(cfg)) {}
+  // `pools` must be resolve_pools(cfg).
+  tree_outset(const tree_outset_config& cfg, const pool_set& pools);
   ~tree_outset() override;
 
   bool add(outset_waiter* w) noexcept override;
@@ -167,9 +180,9 @@ class tree_outset final : public outset {
                    void* spawn_ctx);
 
   tree_outset_config cfg_;
-  object_pool* groups_;   // one `fanout`-node group per cell
-  object_pool* waiters_;  // registry waiter pool (destructor reclamation)
-  object_pool* drains_;   // drain_task cells for the parallel finalize
+  object_pool* groups_;
+  object_pool* waiters_;
+  object_pool* drains_;
   tree_node base_;
 };
 

@@ -130,6 +130,18 @@ int node::arrive(std::uint32_t n) noexcept {
 bool node::depart() noexcept {
   visit();
   tree_context* ctx = context();
+  // The reclaim flag is read here, before the decrement, because the
+  // counter that holds *ctx may not outlive the decrement. Once this
+  // depart's unit is gone from the root, another thread's depart can zero
+  // the root; the counter is then released, destroyed, and its cell can be
+  // rebuilt by the next acquire. So a depart that does not zero the root
+  // may touch nothing of the counter after its last successful CAS. With
+  // reclaim off (faa, snzi:<d>, the default dyn) it touches nothing: below
+  // the CAS are only depart_parent(), whose own CAS is that last one, and
+  // returns. With reclaim on, retire() still runs after depart_parent(),
+  // and that window is open: a late retire() can act on a pair whose
+  // counter was already released.
+  const bool reclaim = ctx->reclaim;
   stat_add(ctx->stats, &tree_stats::departs);
   std::uint64_t x = cv_.load(std::memory_order_acquire);
   for (;;) {
@@ -139,9 +151,11 @@ bool node::depart() noexcept {
     if (cv_.compare_exchange_strong(x, pack(h - 2, v), std::memory_order_seq_cst,
                                     std::memory_order_acquire)) {
       if (h == 2) {
-        // Phase change: this node's surplus returned to zero.
+        // Phase change: this node's surplus returned to zero. The parent
+        // still holds this node's unit, so the counter lives until
+        // depart_parent() has decremented it.
         const bool zero = depart_parent();
-        if (ctx->reclaim) retire();
+        if (reclaim) retire();
         return zero;
       }
       return false;

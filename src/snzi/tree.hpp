@@ -3,12 +3,16 @@
 //
 // Owns the root (indicator), a single *base* hierarchical node that serves
 // as the initial handle target, and the recycling pool. Child pairs are
-// drawn from a shared slab pool (src/mem/) — "snzi_pair" in the runtime's
-// pool registry — and parked on the tree-local free list across reset()
-// generations, so a pooled counter keeps its working set exactly as it did
-// with the old per-tree arena. The analysis in the paper (section 4) starts
-// from exactly this shape: "this finish vertex has a single SNZI node as
-// the root of its in-counter".
+// drawn from a shared slab pool (src/mem/), "snzi_pair" in the runtime's
+// pool registry, and all go back to it when the tree is destroyed, which
+// for an in-counter is every release. The tree-local free list is the
+// recycling pool of the paper's appendix B: it takes pairs that reclamation
+// (threshold 1) unlinked and pairs that lost a grow race, and reset() parks
+// every reachable pair there. It stays local because node::init()'s
+// stale-reader argument needs a recycled pair re-initialized under the same
+// tree, which the shared pool cannot promise. The analysis in the paper
+// (section 4) starts from exactly this shape: "this finish vertex has a
+// single SNZI node as the root of its in-counter".
 
 #include <cstdint>
 #include <utility>

@@ -17,9 +17,24 @@ namespace {
 
 class CounterConformance : public ::testing::TestWithParam<std::string> {
  protected:
-  void SetUp() override { factory_ = make_counter_factory(GetParam()); }
+  // Each fixture owns its pool registry so the cell counts below see only
+  // this factory's traffic (the default registry is process-wide).
+  void SetUp() override {
+    registry_ = std::make_unique<slab_pool_registry>();
+    factory_ = make_counter_factory(GetParam(), nullptr, registry_.get());
+  }
+  std::unique_ptr<slab_pool_registry> registry_;
   std::unique_ptr<counter_factory> factory_;
 };
+
+// Stats of every pool in `pools` whose name starts with `prefix`.
+pool_stats pools_named(const pool_registry& pools, const std::string& prefix) {
+  pool_stats sum;
+  for (const auto& row : pools.rows()) {
+    if (row.name.rfind(prefix, 0) == 0) sum += row.stats;
+  }
+  return sum;
+}
 
 TEST_P(CounterConformance, FreshZeroCounterIsZero) {
   dep_counter* c = factory_->acquire(0);
@@ -145,16 +160,27 @@ TEST_P(CounterConformance, BatchAddConcurrentDecrementers) {
 }
 
 TEST_P(CounterConformance, PoolRecyclingYieldsCleanCounters) {
-  dep_counter* a = factory_->acquire(1);
-  const arrive_result r = a->arrive(a->root_token(), true);
-  a->depart(r.dec);
-  a->depart(a->root_token());
-  factory_->release(a);
-  dep_counter* b = factory_->acquire(1);
-  EXPECT_FALSE(b->is_zero());
-  EXPECT_TRUE(b->depart(b->root_token()));
-  factory_->release(b);
-  EXPECT_LE(factory_->created(), 2u) << "release must actually pool";
+  // Pins: a released counter's cell parks in this thread's magazine and
+  // the next acquire reuses it, so after the first round the pool carves
+  // nothing new; every release returns its cells (the counter's and, for
+  // SNZI counters, the tree's), so nothing stays live.
+  std::size_t carved = 0;
+  for (int round = 0; round < 4; ++round) {
+    dep_counter* a = factory_->acquire(1);
+    const arrive_result r = a->arrive(a->root_token(), true);
+    a->depart(r.dec);
+    a->depart(a->root_token());
+    factory_->release(a);
+    dep_counter* b = factory_->acquire(1);
+    EXPECT_FALSE(b->is_zero()) << "a recycled cell must come back clean";
+    EXPECT_TRUE(b->depart(b->root_token()));
+    factory_->release(b);
+    if (round == 0) carved = factory_->created();
+    EXPECT_EQ(factory_->created(), carved)
+        << "round " << round << ": release must recycle cells";
+    EXPECT_EQ(registry_->totals().live(), 0u) << "round " << round;
+  }
+  EXPECT_GE(carved, 1u);
 }
 
 TEST_P(CounterConformance, ConcurrentSpawnersAndSignalers) {
@@ -234,6 +260,29 @@ TEST(CounterFactory, DisplayNamesMatchPaperLegend) {
   EXPECT_EQ(make_counter_factory("faa")->display_name(), "Fetch & Add");
   EXPECT_EQ(make_counter_factory("snzi:4")->display_name(), "SNZI depth=4");
   EXPECT_EQ(make_counter_factory("dyn:1")->display_name(), "in-counter");
+}
+
+TEST(FixedSnziCounter, EachCounterIsOneTreeCellAndNoPairs) {
+  // The paper's fixed-depth baseline allocates a tree per finish block.
+  // Pins: a snzi:4 counter is built as one cell of the per-depth tree pool
+  // (all 30 nodes below the base), draws no SNZI child pair, and gives the
+  // cell back at release.
+  slab_pool_registry pools;
+  std::unique_ptr<counter_factory> factory =
+      make_counter_factory("snzi:4", nullptr, &pools);
+  const std::uint64_t trees_before = pools_named(pools, "snzi_fixed:").allocs;
+  for (int i = 0; i < 1000; ++i) {
+    dep_counter* c = factory->acquire(1);
+    const arrive_result r = c->arrive(c->root_token(), true);
+    EXPECT_FALSE(c->depart(r.dec));
+    EXPECT_TRUE(c->depart(c->root_token()));
+    factory->release(c);
+  }
+  const pool_stats trees = pools_named(pools, "snzi_fixed:");
+  EXPECT_EQ(trees.allocs - trees_before, 1000u);
+  EXPECT_EQ(trees.live(), 0u);
+  EXPECT_EQ(pools_named(pools, "snzi_pair:").allocs, 0u);
+  EXPECT_EQ(pools_named(pools, "counter:").live(), 0u);
 }
 
 }  // namespace

@@ -18,10 +18,11 @@ namespace {
 
 class DagEngineTest : public ::testing::TestWithParam<std::string> {
  protected:
-  // Each fixture owns its pool registry so the cached-cell assertions below
-  // see only this engine's traffic (the default registry is process-wide).
+  // Each fixture owns its pool registry, for the engine and the counters,
+  // so the cell assertions below see only this engine's traffic (the
+  // default registry is process-wide).
   DagEngineTest()
-      : factory_(make_counter_factory(GetParam())),
+      : factory_(make_counter_factory(GetParam(), nullptr, &pools_)),
         engine_(*factory_, exec_, {.pools = &pools_}) {}
 
   serial_executor exec_;
@@ -166,6 +167,10 @@ TEST_P(DagEngineTest, VertexPoolIsReusedAcrossRuns) {
 }
 
 TEST_P(DagEngineTest, CounterObjectsAreRecycledThroughFactory) {
+  // Pins: every counter a run acquires is released into this thread's
+  // magazine by the time the run ends, so from the second run on the
+  // counter pool recycles cells and carves none.
+  std::size_t carved = 0;
   for (int run = 0; run < 5; ++run) {
     auto [root, final_v] = engine_.make();
     root->body = [] {
@@ -174,9 +179,10 @@ TEST_P(DagEngineTest, CounterObjectsAreRecycledThroughFactory) {
     engine_.add(root);
     engine_.add(final_v);
     exec_.run_all(engine_);
+    if (run == 0) carved = factory_->created();
+    EXPECT_EQ(factory_->created(), carved) << "run " << run;
   }
-  // Each run needs at most 8 live counters; pooling must prevent 5x growth.
-  EXPECT_LE(factory_->created(), 8u);
+  EXPECT_GE(carved, 1u);
 }
 
 TEST_P(DagEngineTest, OnlyVerticesThatWaitCarryACounter) {

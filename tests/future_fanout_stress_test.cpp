@@ -13,6 +13,10 @@
 
 #include "dag/future.hpp"
 #include "harness/workloads.hpp"
+#include "mem/slab_pool.hpp"
+#include "mem/thread_slot.hpp"
+#include "outset/simple_outset.hpp"
+#include "outset/tree_outset.hpp"
 #include "sched/runtime.hpp"
 #include "util/dummy_work.hpp"
 
@@ -54,12 +58,29 @@ TEST_P(FanoutMatrix, ChurnReusesPooledOutsets) {
   cfg.outset = std::get<0>(GetParam());
   cfg.sched = std::get<1>(GetParam());
   runtime rt(cfg);
-  for (int round = 0; round < 200; ++round) {
+  // The out-set cells' pool (one concrete out-set type per spec).
+  const bool tree = rt.outsets().name() != "simple";
+  auto& pool = dynamic_cast<slab_cache&>(
+      tree ? rt.pools().get("outset", sizeof(tree_outset), alignof(tree_outset))
+           : rt.pools().get("outset", sizeof(simple_outset),
+                            alignof(simple_outset)));
+  // Carving plateaus rather than staying flat: a cell allocated on one
+  // worker and released on another parks in the releaser's magazine, and
+  // a worker carves a refill batch only when its magazine and the recycle
+  // list are both dry, i.e. while every free cell sits in another thread's
+  // magazine. So the pool never holds more than the live out-sets plus one
+  // full magazine per thread, however many futures churn through it.
+  // Pins: that bound over 400 futures, and every released future's
+  // out-set is destroyed (live() == 0) by the time run() returns.
+  for (int round = 0; round < 400; ++round) {
     ASSERT_EQ(harness::fanout(rt, 64), 64u);
+    ASSERT_EQ(pool.stats().live(), 0u) << "round " << round;
   }
-  // 200 futures, but at most a handful of live out-sets at a time.
-  EXPECT_LE(rt.outsets().created(), 16u)
-      << "future churn must recycle out-sets through the factory pool";
+  EXPECT_EQ(rt.outsets().created(), pool.stats().carved);
+  EXPECT_LE(rt.outsets().created(),
+            static_cast<std::size_t>(mem::claimed_thread_slots()) *
+                pool.magazine_slots())
+      << "future churn must recycle out-set cells through the magazines";
   const outset_totals t = rt.outsets().totals();
   EXPECT_EQ(t.adds, t.delivered)
       << "every captured registration must be delivered";

@@ -166,10 +166,6 @@ TEST(FutureSharing, CopiesShareOneStateAndLastCopyRecycles) {
   // A private registry so the pool counters below see only this test.
   slab_pool_registry pools;
   simple_outset_factory outsets(&pools);
-  // Warm the factory's object bank first: the out-set object itself is a
-  // registry cell that stays live (parked for reuse, never freed) across
-  // recycles, so it must be inside the baseline, not the delta.
-  outsets.release(outsets.acquire());
   const pool_stats before = pools.totals();
   {
     future<int> a = future<int>::make(outsets);
@@ -184,11 +180,12 @@ TEST(FutureSharing, CopiesShareOneStateAndLastCopyRecycles) {
     a.complete(7, nullptr);
     EXPECT_TRUE(c.ready()) << "copies must observe the shared completion";
     EXPECT_EQ(d.get(), 7);
-    EXPECT_EQ(pools.totals().live() - before.live(), 1u)
-        << "all copies share one pooled state";
+    // Pins: one state cell plus its out-set's cell, however many copies.
+    EXPECT_EQ(pools.totals().live() - before.live(), 2u)
+        << "all copies share one pooled state and its out-set";
   }
   EXPECT_EQ(pools.totals().live(), before.live())
-      << "the last copy must return the state cell to its pool";
+      << "the last copy must return the state and out-set cells";
 }
 
 TEST(FutureSharing, SelfAssignmentIsSafe) {
@@ -205,17 +202,14 @@ TEST(FutureSharing, SelfAssignmentIsSafe) {
 TEST(FutureSharing, StateIsRecycledAcrossGenerations) {
   slab_pool_registry pools;
   simple_outset_factory outsets(&pools);
-  // See above: baseline after one warm-up cycle so the factory's banked
-  // out-set cell (live by design) doesn't read as a leak.
-  outsets.release(outsets.acquire());
-  const pool_stats warm = pools.totals();
+  const pool_stats before = pools.totals();
   for (int i = 0; i < 100; ++i) {
     future<int> f = future<int>::make(outsets);
     f.complete(i, nullptr);
     EXPECT_EQ(f.get(), i);
   }
   const pool_stats s = pools.totals();
-  EXPECT_EQ(s.live(), warm.live());
+  EXPECT_EQ(s.live(), before.live());
   EXPECT_GT(s.recycles, 0u) << "state cells must recycle, not accumulate";
 }
 
@@ -227,24 +221,11 @@ TEST(FuturePooling, SteadyStateChurnPerformsZeroUpstreamAllocation) {
   // Warm-up rounds carve the slabs and spread the per-worker magazines.
   for (int i = 0; i < 4; ++i) harness::future_churn(rt, 2048);
 
-  // The acceptance pools: everything a fork2_future lifecycle allocates.
-  // snzi_pair is excluded — the in-counter grows its tree with probability
-  // 1/threshold per arrive BY DESIGN, so pooled counters park a few more
-  // pairs for many rounds before saturating; that is counter behavior, not
-  // future-path malloc. The factories' object banks ("counter:…",
-  // "outset:…" — not "outset_waiter:…") are excluded for the same reason:
-  // banked objects are permanently-live cells by design (parked for reuse,
-  // never freed), and the bank grows to the high-water concurrent demand,
-  // which stealing timing can nudge past warm-up. Bank effectiveness is
-  // factory::created()'s job, not this test's.
+  // The acceptance pools: everything a fork2_future lifecycle allocates,
+  // counters and out-sets included (plain cells, destroyed at release).
   auto future_pools = [&] {
     pool_stats sum;
-    for (const auto& row : rt.pools().rows()) {
-      if (row.name.rfind("snzi_pair", 0) == 0) continue;
-      if (row.name.rfind("counter:", 0) == 0) continue;
-      if (row.name.rfind("outset:", 0) == 0) continue;
-      sum += row.stats;
-    }
+    for (const auto& row : rt.pools().rows()) sum += row.stats;
     return sum;
   };
 

@@ -245,13 +245,17 @@ TEST_P(OutsetConformance, ResetRepoolsAbandonedRegistrations) {
     ASSERT_TRUE(o->add(factory_->acquire_waiter(fake_consumer(i), nullptr)));
   }
   factory_->release(o);  // reset: no deliveries, records back to the pool
-  // waiters_created() counts cells CARVED from slabs; the first refill may
-  // carve a whole geometry-sized magazine batch beyond the 32 live records
-  // (magazine-resident spares, not leaks), so the reuse claim is carving
-  // staying FLAT across rounds, not an absolute count.
+  // created() and waiters_created() count cells CARVED from slabs; the
+  // first refill may carve a whole geometry-sized magazine batch beyond the
+  // live cells (magazine-resident spares, not leaks). Pins: carving stays
+  // FLAT across rounds, and release returns every cell, so nothing in the
+  // registry stays live.
+  const std::size_t outsets_after_first = factory_->created();
   const std::size_t carved_after_first = factory_->waiters_created();
+  EXPECT_GE(outsets_after_first, 1u);
   EXPECT_GE(carved_after_first, 32u);
-  // The pooled records and out-set are reused: no new allocations.
+  EXPECT_EQ(registry_->totals().live(), 0u);
+  // The recycled records and out-set cell are reused: no new carving.
   outset* p = factory_->acquire();
   for (std::size_t i = 0; i < 32; ++i) {
     ASSERT_TRUE(p->add(factory_->acquire_waiter(fake_consumer(i), nullptr)));
@@ -260,9 +264,11 @@ TEST_P(OutsetConformance, ResetRepoolsAbandonedRegistrations) {
   p->finalize(&delivery_log::sink, &log);
   for (std::size_t i = 0; i < 32; ++i) EXPECT_EQ(log.delivered[i].load(), 1u);
   factory_->release(p);
-  EXPECT_EQ(factory_->created(), 1u) << "release must actually pool out-sets";
+  EXPECT_EQ(factory_->created(), outsets_after_first)
+      << "release must recycle out-set cells";
   EXPECT_EQ(factory_->waiters_created(), carved_after_first)
       << "release_waiter must actually pool records";
+  EXPECT_EQ(registry_->totals().live(), 0u);
 }
 
 TEST_P(OutsetConformance, CountersTallyAddsAndDeliveries) {

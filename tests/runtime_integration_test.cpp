@@ -157,11 +157,24 @@ TEST(TheoryBounds, DepartsMatchArrives) {
 
 TEST(LazyCounters, FaninAcquiresOnlyTheFinishCounters) {
   // A fan-in acquires counters for make()'s final vertex and chain()'s
-  // continuation only; both come back to the factory's pool after each run.
+  // continuation only. Pins: the counter pool serves exactly two
+  // allocations per run, however many workers run it, and run() returns
+  // only after both counters were released to the pool.
   runtime rt(runtime_config{4, "dyn"});
-  harness::fanin(rt, 1 << 14);
-  harness::fanin(rt, 1 << 14);
-  EXPECT_LE(rt.factory().created(), 2u);
+  auto counter_pool = [&rt] {
+    pool_stats sum;
+    for (const auto& row : rt.pools().rows()) {
+      if (row.name.rfind("counter:", 0) == 0) sum += row.stats;
+    }
+    return sum;
+  };
+  for (int run = 0; run < 3; ++run) {
+    const std::uint64_t allocs = counter_pool().allocs;
+    harness::fanin(rt, 1 << 14);
+    const pool_stats after = counter_pool();
+    EXPECT_EQ(after.allocs - allocs, 2u) << "run " << run;
+    EXPECT_EQ(after.live(), 0u) << "run " << run;
+  }
 }
 
 // --- the per-thread engine ledger ---

@@ -14,6 +14,7 @@
 #include <deque>
 #include <mutex>
 #include <set>
+#include <string>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -375,9 +376,7 @@ TEST(SlabPoolTrim, EngineTrimAfterChurnReleasesSlabsUpstream) {
   EXPECT_EQ(after.cached(), after.retained())
       << "post-trim custody views must agree across every pool";
   // Pools whose cells all died with the run (future states, vertices,
-  // dec-pairs) must be fully drained — their retained() drops to zero; the
-  // SNZI pair pool legitimately keeps live cells (trees parked in the
-  // counter factory) and only pins those slabs.
+  // dec-pairs) must be fully drained: their retained() drops to zero.
   for (const auto& row : rt.pools().rows()) {
     if (row.name.rfind("future_state", 0) == 0 ||
         row.name.rfind("vertex", 0) == 0 ||
@@ -390,6 +389,32 @@ TEST(SlabPoolTrim, EngineTrimAfterChurnReleasesSlabsUpstream) {
   // Post-trim the runtime re-carves and keeps delivering exactly-once.
   EXPECT_EQ(harness::future_churn(rt, 2048), 2048u);
   EXPECT_EQ(rt.pools().totals().trims, after.trims);
+}
+
+TEST(SlabPoolTrim, TrimReachesCounterAndOutsetCells) {
+  // Counters and out-sets are plain pool cells, destroyed at release, so
+  // after a burst nothing of theirs stays live and a quiescent trim can
+  // hand their slabs back like any other pool's.
+  runtime_config cfg{4, "dyn"};
+  runtime rt(cfg);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(harness::future_churn(rt, 4096), 4096u);
+  }
+  rt.trim_pools();
+  auto pool_named = [&rt](const std::string& prefix) {
+    pool_stats sum;
+    for (const auto& row : rt.pools().rows()) {
+      if (row.name.rfind(prefix, 0) == 0) sum += row.stats;
+    }
+    return sum;
+  };
+  const pool_stats counters = pool_named("counter:");
+  const pool_stats outsets = pool_named("outset:");
+  EXPECT_GT(counters.allocs, 0u);
+  EXPECT_EQ(counters.live(), 0u);
+  EXPECT_EQ(outsets.live(), 0u);
+  EXPECT_GE(outsets.slabs_released, 1u)
+      << "the out-set pool's slabs must be reachable by a trim";
 }
 
 TEST(MallocPool, CountsEveryTripUpstream) {

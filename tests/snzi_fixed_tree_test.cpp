@@ -98,7 +98,7 @@ TEST(FixedTreeConcurrent, ManyThreadsBalancedOps) {
   }
   for (auto& th : threads) th.join();
   EXPECT_FALSE(t.query());
-  t.tree().for_each_node(
+  t.for_each_node(
       [](const node& n, std::size_t) { EXPECT_EQ(n.surplus_half(), 0u); });
 }
 

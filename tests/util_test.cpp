@@ -18,7 +18,6 @@
 #include "util/spin_barrier.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
-#include "util/treiber_stack.hpp"
 
 namespace spdag {
 namespace {
@@ -140,46 +139,6 @@ TEST(Rng, ThreadLocalStreamsAreIndependent) {
   std::thread t([&first_other] { first_other = thread_rng()(); });
   t.join();
   EXPECT_NE(first_main, first_other);
-}
-
-// --- Treiber stack ---
-
-struct pool_item {
-  int value = 0;
-  std::atomic<pool_item*> pool_next{nullptr};
-};
-
-TEST(TreiberStack, LifoSingleThreaded) {
-  treiber_stack<pool_item> s;
-  pool_item a, b;
-  a.value = 1;
-  b.value = 2;
-  EXPECT_TRUE(s.empty());
-  s.push(&a);
-  s.push(&b);
-  EXPECT_EQ(s.size_slow(), 2u);
-  EXPECT_EQ(s.pop(), &b);
-  EXPECT_EQ(s.pop(), &a);
-  EXPECT_EQ(s.pop(), nullptr);
-}
-
-TEST(TreiberStack, ConcurrentPushPopConserves) {
-  treiber_stack<pool_item> s;
-  constexpr int kThreads = 6;
-  constexpr int kItems = 2000;
-  std::vector<pool_item> items(kThreads * kItems);
-  std::atomic<int> popped{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kItems; ++i) {
-        s.push(&items[static_cast<size_t>(t * kItems + i)]);
-        if (s.pop() != nullptr) popped.fetch_add(1);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(popped.load() + static_cast<int>(s.size_slow()), kThreads * kItems);
 }
 
 // --- spin barrier ---
