@@ -17,8 +17,10 @@ per-proc "pool" throughput ratios must stay within --max-trace-overhead
 With --service, additionally sanity-gates the dag_service traffic bench
 (BENCH_service_traffic.json): every service/<sched>/clients:<c> record must
 conserve submissions (completed == submitted - rejected, completed > 0),
-report a finite positive sojourn p99 and a positive completion rate. When
-the records ran with a busy-trim cadence (extra.busy_trim_every > 0), each
+report a finite positive sojourn p99 and a positive completion rate, and
+show the idle trim firing (extra.idle_trims >= 1; the bench waits for it
+after its timed reps), with some slab released across the document
+(extra.slabs_released). When the records ran with a busy-trim cadence (extra.busy_trim_every > 0), each
 must also show busy trims actually firing, and ACROSS the document some
 slabs must have made the full retire -> reclaim trip — the
 busy-trim-under-load acceptance (the dispatcher only trims inside its
@@ -52,7 +54,7 @@ gated. Documents without fig08/fig10 records, missing proc-1 or multi-proc
 
 With --selftest, runs the embedded good/bad/malformed fixture documents
 through every gate (churn pool/malloc ratio, trace overhead compare,
-service with and without busy trim, apps, scaling) and exits nonzero if any gate
+service with and without busy trim, idle trim, apps, scaling) and exits nonzero if any gate
 passes a bad fixture or fails a good one — run this FIRST in CI so a
 refactor of this script cannot silently pass everything.
 
@@ -138,6 +140,7 @@ def service_gate(path):
     busy_records = 0
     total_reclaimed = 0.0
     total_retired = 0.0
+    total_released = 0.0
     for rec in doc["records"]:
         name = rec.get("name", "")
         if not name.startswith("service/"):
@@ -160,6 +163,9 @@ def service_gate(path):
             problems.append(f"sojourn p99 not finite/positive: {p99}")
         if not (math.isfinite(rate) and rate > 0):
             problems.append(f"ops_per_s not finite/positive: {rate}")
+        if extra.get("idle_trims", 0) < 1:
+            problems.append("idle trim never fired (idle_trims == 0)")
+        total_released += extra.get("slabs_released", 0)
         if extra.get("busy_trim_every", 0) > 0:
             busy_records += 1
             busy_trims = extra.get("busy_trims", 0)
@@ -179,6 +185,13 @@ def service_gate(path):
         print(f"perf_smoke_gate: no service/ records in {path}",
               file=sys.stderr)
         sys.exit(2)
+    release_ok = total_released > 0
+    print(f"  idle-trim acceptance: slabs released {total_released:.0f} "
+          f"across {checked} records [{'ok' if release_ok else 'FAIL'}]")
+    if not release_ok:
+        print("perf_smoke_gate: idle trims never released a slab — the "
+              "idle trim is not doing its job", file=sys.stderr)
+        ok = False
     if busy_records > 0:
         reclaim_ok = total_reclaimed > 0
         verdict = "ok" if reclaim_ok else "FAIL"
@@ -357,13 +370,16 @@ def _churn_rec(spec, proc, rate):
 
 
 def _service_rec(completed, submitted, rejected=0, p99=1.0, rate=100.0,
-                 busy=None):
-    """busy = (busy_trims, slabs_retired, slabs_reclaimed) marks a record
-    that ran with a busy-trim cadence."""
+                 busy=None, idle=(1, 3)):
+    """idle = (idle_trims, slabs_released); busy = (busy_trims,
+    slabs_retired, slabs_reclaimed) marks a record that ran with a
+    busy-trim cadence."""
+    trims, released = idle
     rec = {"name": "service/default/clients:2", "proc": 2, "ops_per_s": rate,
            "lat_p99_ms": p99,
            "extra": {"submitted": submitted, "rejected": rejected,
-                     "completed": completed}}
+                     "completed": completed, "idle_trims": trims,
+                     "slabs_released": released}}
     if busy is not None:
         trims, retired, reclaimed = busy
         rec["extra"].update(busy_trim_every=32, busy_trims=trims,
@@ -455,6 +471,15 @@ def selftest():
                lambda: service_gate(busy_idle))
         expect("service busy trim never reclaimed", "fail",
                lambda: service_gate(busy_stuck))
+        idle_never = write("idle_never.json", _fixture(
+            [_service_rec(100, 100), _service_rec(100, 100, idle=(0, 0))]))
+        idle_empty = write("idle_empty.json", _fixture(
+            [_service_rec(100, 100, idle=(1, 0)),
+             _service_rec(100, 100, idle=(2, 0))]))
+        expect("service idle trim never fired", "fail",
+               lambda: service_gate(idle_never))
+        expect("service idle trims released nothing", "fail",
+               lambda: service_gate(idle_empty))
         expect("service empty", "exit2", lambda: service_gate(empty))
         expect("service malformed", "exit2", lambda: service_gate(truncated))
 
@@ -538,7 +563,8 @@ def main():
                          "compiled-out build (default 0.03)")
     ap.add_argument("--service", metavar="SERVICE_JSON", default=None,
                     help="service_traffic document; sanity-gates the "
-                         "dag_service records (conservation + finite p99)")
+                         "dag_service records (conservation, finite p99, "
+                         "idle and busy trims)")
     ap.add_argument("--apps", metavar="APPS_JSON", default=None,
                     help="merged application-tier document; gates vertex "
                          "conservation and counter_ops_per_edge < 1.0 on "
@@ -573,7 +599,8 @@ def main():
     if args.service is not None:
         if not service_gate(args.service):
             print("perf_smoke_gate: FAIL - dag_service traffic records "
-                  "violated conservation or reported degenerate latency",
+                  "violated conservation, reported degenerate latency, or "
+                  "showed a trim not firing",
                   file=sys.stderr)
             sys.exit(1)
     if args.scaling is not None:

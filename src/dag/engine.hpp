@@ -195,9 +195,9 @@ class dag_engine {
   // pools) when the engine is not quiescent, so an idle timer that loses a
   // race with an arriving submission backs off harmlessly and retries
   // later. The caller must still prevent NEW work from entering between the
-  // check and the trim (the dag_service holds its admission gate across
-  // this call); the check turns a mistimed fire into a clean refusal, it
-  // does not license concurrent allocation. On success `*slabs_released`
+  // check and the trim (the dag_service calls this from its dispatcher, the
+  // only thread that injects work); the check turns a mistimed fire into a
+  // clean refusal, it does not license concurrent allocation. On success `*slabs_released`
   // (if non-null) receives the slab count handed back upstream.
   bool try_trim_pools(std::size_t* slabs_released = nullptr);
 

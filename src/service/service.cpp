@@ -30,34 +30,26 @@ std::uint32_t clamp_us(std::uint64_t ns) noexcept {
 
 bool ticket::wait() {
   if (s_ == nullptr) return false;
-  std::unique_lock<std::mutex> lk(s_->mu);
-  s_->cv.wait(lk, [this] { return s_->done; });
-  return !s_->rejected;
+  s_->state.wait(detail::ticket_state::pending, std::memory_order_acquire);
+  return s_->state.load(std::memory_order_acquire) ==
+         detail::ticket_state::completed;
 }
 
 bool ticket::ready() const {
-  if (s_ == nullptr) return true;
-  std::lock_guard<std::mutex> lk(s_->mu);
-  return s_->done;
+  return s_ == nullptr || s_->state.load(std::memory_order_acquire) !=
+                              detail::ticket_state::pending;
 }
 
 void ticket::release() noexcept {
   if (s_ == nullptr) return;
-  // Client threads release through the service's trim gate: a pool
-  // deallocation from outside the worker set is exactly the traffic the
-  // idle trim cannot otherwise observe.
-  s_->svc->release_ref(s_, /*via_gate=*/true);
+  s_->svc->release_ref(s_);
   s_ = nullptr;
 }
 
 // --- dag_service ------------------------------------------------------------
 
 dag_service::dag_service(service_config cfg)
-    : cfg_(std::move(cfg)),
-      rt_(cfg_.rt),
-      ticket_pool_(&rt_.pools().get("service_ticket",
-                                    sizeof(detail::ticket_state),
-                                    alignof(detail::ticket_state))) {
+    : cfg_(std::move(cfg)), rt_(cfg_.rt) {
   rt_.sched().begin_service(rt_.engine());
   dispatcher_ = std::thread([this] { dispatcher_main(); });
 }
@@ -72,37 +64,23 @@ ticket dag_service::submit_body(vertex_body job) {
     n_rejected_.fetch_add(1, std::memory_order_relaxed);
     return ticket{};
   }
-  detail::ticket_state* t;
-  {
-    // Shared gate: the pool allocation below may not race an idle trim.
-    std::shared_lock<std::shared_mutex> gate(trim_gate_);
-    t = pool_new<detail::ticket_state>(*ticket_pool_);
-    t->svc = this;
-    t->job = std::move(job);
-    t->submit_tp = clock::now();
-    if (!queue_.push(t)) {
-      // Queue node arena at its cap: surface a clean admission reject
-      // instead of the bad_alloc this used to throw. Unwind everything the
-      // reservation took — the ticket cell (still private to us, under the
-      // same gate that covered its allocation) and the inflight slot.
-      pool_delete(*ticket_pool_, t);
-      gate.unlock();
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      obs::gauge_add(obs::g_inflight, -1);
-      {
-        std::lock_guard<std::mutex> lk(admit_mu_);
-      }
-      admit_cv_.notify_one();
-      obs::emit(obs::ev_reject);
-      n_rejected_.fetch_add(1, std::memory_order_relaxed);
-      n_queue_full_rejects_.fetch_add(1, std::memory_order_relaxed);
-      return ticket{};
+  detail::ticket_state* t = tickets_.create();
+  t->svc = this;
+  t->job = std::move(job);
+  t->submit_tp = clock::now();
+  detail::ticket_state* head = inbox_.load(std::memory_order_relaxed);
+  do {
+    t->next = head;
+  } while (!inbox_.compare_exchange_weak(head, t, std::memory_order_release,
+                                         std::memory_order_relaxed));
+  if (head == nullptr) {
+    // Only the push that makes the inbox non-empty can find the dispatcher
+    // asleep (it sleeps only after seeing the inbox empty under the mutex).
+    {
+      std::lock_guard<std::mutex> lk(dispatch_mu_);
     }
+    dispatch_cv_.notify_one();
   }
-  {
-    std::lock_guard<std::mutex> lk(dispatch_mu_);
-  }
-  dispatch_cv_.notify_one();
   return ticket{t};
 }
 
@@ -124,13 +102,13 @@ bool dag_service::admit() {
     }
     // Reserve the slot FIRST, then re-check stop_. The authoritative stop
     // check must come after the increment so the dispatcher's drain-exit
-    // test (stop_ && inflight_ == 0 && queue empty) can never pass between
-    // our stop check and our increment — any admission it could miss is in
-    // inflight_ before it looks. That ordering argument is store-buffering
-    // shaped (we write inflight_ then read stop_; the dispatcher reads
-    // stop_ then inflight_), which acquire/release alone does not forbid —
-    // hence seq_cst here, on shutdown()'s stop_ store, and on the
-    // dispatcher's exit-check loads.
+    // test (stop_ && inflight_ == 0) can never pass between our stop check
+    // and our increment — any admission it could miss is in inflight_
+    // before it looks. That ordering argument is store-buffering shaped (we
+    // write inflight_ then read stop_; the dispatcher reads stop_ then
+    // inflight_), which acquire/release alone does not forbid — hence
+    // seq_cst here, on shutdown()'s stop_ store, and on the dispatcher's
+    // exit-check loads.
     if (inflight_.compare_exchange_weak(cur, cur + 1,
                                         std::memory_order_seq_cst,
                                         std::memory_order_acquire)) {
@@ -156,6 +134,22 @@ bool dag_service::admit() {
   }
 }
 
+detail::ticket_state* dag_service::take_inbox() noexcept {
+  // Pushes prepend, so the taken list is newest first: reverse it to
+  // dispatch in arrival order. The acquire pairs with every push's release
+  // (each push is an RMW, so all of them sit in one release sequence).
+  detail::ticket_state* newest = inbox_.exchange(nullptr,
+                                                 std::memory_order_acquire);
+  detail::ticket_state* oldest = nullptr;
+  while (newest != nullptr) {
+    detail::ticket_state* next = newest->next;
+    newest->next = oldest;
+    oldest = newest;
+    newest = next;
+  }
+  return oldest;
+}
+
 void dag_service::dispatch(detail::ticket_state* t) {
   t->dispatch_tp = clock::now();
   const std::uint64_t queue_ns = elapsed_ns(t->submit_tp, t->dispatch_tp);
@@ -178,13 +172,7 @@ void dag_service::reject_queued(detail::ticket_state* t) {
   n_rejected_.fetch_add(1, std::memory_order_relaxed);
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
   obs::gauge_add(obs::g_inflight, -1);
-  {
-    std::lock_guard<std::mutex> lk(t->mu);
-    t->done = true;
-    t->rejected = true;
-  }
-  t->cv.notify_all();
-  release_ref(t, /*via_gate=*/false);  // dispatcher-side: trim is ours alone
+  resolve(t, detail::ticket_state::rejected);
 }
 
 void dag_service::complete(detail::ticket_state* t) {
@@ -200,32 +188,26 @@ void dag_service::complete(detail::ticket_state* t) {
   n_completed_.fetch_add(1, std::memory_order_relaxed);
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
   obs::gauge_add(obs::g_inflight, -1);
-  // Empty critical sections pair the notifies with their cvs' predicates
-  // (which read atomics), closing the missed-wakeup window.
+  // The empty critical section pairs the notify with admit_cv_'s predicate
+  // (which reads atomics), closing the missed-wakeup window. The dispatcher
+  // needs no wake: its drain polls and its idle timer runs on its own.
   {
     std::lock_guard<std::mutex> lk(admit_mu_);
   }
   admit_cv_.notify_one();
-  {
-    std::lock_guard<std::mutex> lk(t->mu);
-    t->done = true;
-  }
-  t->cv.notify_all();
-  {
-    std::lock_guard<std::mutex> lk(dispatch_mu_);
-  }
-  dispatch_cv_.notify_one();
-  release_ref(t, /*via_gate=*/false);
+  resolve(t, detail::ticket_state::completed);
 }
 
-void dag_service::release_ref(detail::ticket_state* t, bool via_gate) noexcept {
-  if (t->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-  if (via_gate) {
-    std::shared_lock<std::shared_mutex> gate(trim_gate_);
-    pool_delete(*ticket_pool_, t);
-  } else {
-    pool_delete(*ticket_pool_, t);
-  }
+void dag_service::resolve(detail::ticket_state* t, int outcome) noexcept {
+  // The service's reference keeps `t` alive across the notify, even if the
+  // client wakes and drops its ticket at once.
+  t->state.store(outcome, std::memory_order_release);
+  t->state.notify_all();
+  release_ref(t);
+}
+
+void dag_service::release_ref(detail::ticket_state* t) noexcept {
+  if (t->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) tickets_.destroy(t);
 }
 
 void dag_service::dispatcher_main() {
@@ -237,13 +219,19 @@ void dag_service::dispatcher_main() {
   mem::epoch::pin_guard eg;
   for (;;) {
     mem::epoch::refresh();
-    if (detail::ticket_state* t = queue_.pop()) {
-      if (stop_.load(std::memory_order_acquire) &&
-          reject_pending_.load(std::memory_order_acquire)) {
-        reject_queued(t);
-      } else {
-        dispatch(t);
-        maybe_busy_trim();
+    if (detail::ticket_state* t = take_inbox()) {
+      while (t != nullptr) {
+        // Read the link first: once dispatched, `t` may complete and be
+        // freed before dispatch() returns.
+        detail::ticket_state* next = t->next;
+        if (stop_.load(std::memory_order_acquire) &&
+            reject_pending_.load(std::memory_order_acquire)) {
+          reject_queued(t);
+        } else {
+          dispatch(t);
+          maybe_busy_trim();
+        }
+        t = next;
       }
       continue;
     }
@@ -251,12 +239,10 @@ void dag_service::dispatcher_main() {
       // Drain protocol: exit only when nothing is admitted-but-incomplete.
       // A submitter that won admission just before stop_ may not have
       // pushed yet — inflight_ covers that window (admit() increments it
-      // BEFORE its authoritative stop_ check), so keep polling. seq_cst on
-      // both loads pairs with admit()'s seq_cst increment/check: see the
-      // store-buffering note there.
-      if (inflight_.load(std::memory_order_seq_cst) == 0 && queue_.empty()) {
-        return;
-      }
+      // BEFORE its authoritative stop_ check), and a ticket in the inbox
+      // holds its slot too, so keep polling. seq_cst pairs with admit()'s
+      // seq_cst increment/check: see the store-buffering note there.
+      if (inflight_.load(std::memory_order_seq_cst) == 0) return;
       mem::epoch::unpin();
       {
         std::unique_lock<std::mutex> lk(dispatch_mu_);
@@ -265,34 +251,33 @@ void dag_service::dispatcher_main() {
       mem::epoch::pin();
       continue;
     }
+    // The predicate runs under dispatch_mu_ before the first sleep, so a
+    // push or shutdown that raced the empty take above is seen here or
+    // notifies after we sleep.
+    const auto woken = [this] {
+      return inbox_.load(std::memory_order_relaxed) != nullptr ||
+             stop_.load(std::memory_order_acquire);
+    };
     std::unique_lock<std::mutex> lk(dispatch_mu_);
-    // Anything pushed between the failed pop and this lock also issued a
-    // notify we may have missed; re-check before sleeping.
-    if (!queue_.empty() || stop_.load(std::memory_order_acquire)) continue;
+    mem::epoch::unpin();
+    bool idle = false;
     if (cfg_.idle_trim_after.count() > 0) {
-      mem::epoch::unpin();
-      const auto status = dispatch_cv_.wait_for(lk, cfg_.idle_trim_after);
-      mem::epoch::pin();
-      lk.unlock();
-      if (status == std::cv_status::timeout &&
-          !stop_.load(std::memory_order_acquire)) {
-        try_idle_trim();
-      }
+      // Timed on the cv: atomic::wait has no timeout.
+      idle = !dispatch_cv_.wait_for(lk, cfg_.idle_trim_after, woken);
     } else {
-      // Timed rather than indefinite: bounds the cost of any wakeup the
-      // empty-critical-section handshake still loses.
-      mem::epoch::unpin();
-      dispatch_cv_.wait_for(lk, std::chrono::milliseconds(50));
-      mem::epoch::pin();
+      dispatch_cv_.wait(lk, woken);
     }
+    mem::epoch::pin();
+    lk.unlock();
+    if (idle) try_idle_trim();
   }
 }
 
 void dag_service::maybe_busy_trim() {
   // Dispatch-count cadence; dispatcher-only, so the counter needs no
-  // atomicity. Unlike the idle trim there is NO gate and NO quiescence
-  // check: trim_pools_live() is built for concurrent traffic — fully-free
-  // slabs go to epoch limbo and are freed only after the 2-epoch delay.
+  // atomicity. Unlike the idle trim there is NO quiescence check:
+  // trim_pools_live() is built for concurrent traffic — fully-free slabs
+  // go to epoch limbo and are freed only after the 2-epoch delay.
   if (cfg_.busy_trim_every == 0) return;
   if (++dispatches_since_busy_trim_ < cfg_.busy_trim_every) return;
   dispatches_since_busy_trim_ = 0;
@@ -304,24 +289,26 @@ void dag_service::maybe_busy_trim() {
 }
 
 void dag_service::try_idle_trim() {
-  // Exclusive gate first: no client can be mid-allocation/-release while we
-  // hold it, and any client that arrives next blocks until we are done.
-  std::unique_lock<std::shared_mutex> gate(trim_gate_, std::try_to_lock);
-  if (!gate.owns_lock()) return;  // a submitter is mid-push: not idle
-  if (!queue_.empty() || inflight_.load(std::memory_order_acquire) != 0) {
-    return;
-  }
-  // Idempotence + self-healing: skip when nothing was freed since the last
-  // trim (comparing against the post-trim snapshot, not zero — trims leave
-  // a residue of free cells in pinned slabs), but re-arm the moment any
-  // release — e.g. a client's ticket destruction landing AFTER a previous
-  // trim — moves the retained count.
+  // Trim safety. A quiescent trim needs no concurrent traffic on the
+  // registry's pools, and only two kinds of thread allocate or free cells
+  // in them: workers, inside execute() or an offloaded drain, and the
+  // dispatcher, through engine::make(). Client threads touch only
+  // tickets_, which no trim releases. The dispatcher is the only thread that injects work, and it
+  // is here: so once nothing is in flight and the workers are seen idle
+  // below, no thread can reach the registry's pools until we return. A
+  // submission that is admitted meanwhile waits in the inbox.
+  if (inflight_.load(std::memory_order_acquire) != 0) return;
+  // Idempotence: skip when nothing was freed since the last trim
+  // (comparing against the post-trim snapshot, not zero — trims leave a
+  // residue of free cells in pinned slabs), but re-arm the moment new
+  // traffic moves the retained count.
   if (rt_.pools().totals().retained() == trimmed_retained_) return;
   // inflight == 0 means every completion body ran, but the LAST worker may
   // still be in execute()'s epilogue (final vertex not yet recycled, its
   // busy flag not yet cleared). That window is short and shrinking — no new
-  // work can enter while we hold the gate — so wait it out boundedly and
-  // give up harmlessly if an assumption breaks.
+  // work can enter while the dispatcher is here — so wait it out boundedly
+  // and give up harmlessly if an assumption breaks. try_trim_pools
+  // re-verifies once more, so a mistimed fire degrades to `return false`.
   dag_engine& eng = rt_.engine();
   scheduler_base& sch = rt_.sched();
   backoff b;
@@ -379,8 +366,6 @@ service_stats dag_service::stats() const {
   s.busy_trims = n_busy_trims_.load(std::memory_order_relaxed);
   s.slabs_retired = n_slabs_retired_.load(std::memory_order_relaxed);
   s.slabs_reclaimed = n_slabs_reclaimed_.load(std::memory_order_relaxed);
-  s.queue_full_rejects =
-      n_queue_full_rejects_.load(std::memory_order_relaxed);
   s.inflight = inflight_.load(std::memory_order_relaxed);
   s.peak_inflight = peak_inflight_.load(std::memory_order_relaxed);
   return s;

@@ -17,43 +17,37 @@
 //     (scheduler_base::begin_service): workers execute whatever the engine
 //     hands them, with no per-run stop vertex — each submission's final
 //     vertex instead carries a completion body that fulfills its ticket.
-//   * an MPMC injection queue (mpmc_queue.hpp, Michael–Scott shape) client
-//     threads push pooled ticket_states onto.
-//   * a dispatcher thread that pops tickets, builds the (root, final) pair
-//     via dag_engine::make(), and feeds roots to the scheduler's external
+//   * an intrusive inbox: client threads push their ticket_state onto one
+//     atomic list head with a single CAS (the ticket's own `next` link is
+//     the node), and only a push that finds the inbox empty wakes the
+//     dispatcher. max_inflight already bounds the list's length.
+//   * a dispatcher thread that takes the whole inbox with one exchange,
+//     reverses it into arrival order, builds each (root, final) pair via
+//     dag_engine::make(), and feeds roots to the scheduler's external
 //     enqueue path. A single dispatcher is deliberate: engine::make() draws
 //     from pooled allocation, and one dispatching thread means one warm
 //     magazine instead of N cold client slots.
+//   * a ticket pool of its own (not the runtime's registry), so client
+//     threads allocate and free tickets without touching any pool a trim
+//     releases.
 //   * bounded admission: at most max_inflight submissions between admit and
 //     complete; past the cap submit() blocks (default) or rejects, per
 //     admission_policy. Both outcomes are visible in stats().
 //   * an idle timer: when the service has been quiet for idle_trim_after,
-//     the dispatcher takes the trim gate exclusively, re-verifies
-//     quiescence, and calls dag_engine::try_trim_pools() — so slab memory
-//     retained by a burst drains back upstream between bursts instead of
-//     being held until destruction.
+//     the dispatcher re-verifies quiescence and calls
+//     dag_engine::try_trim_pools() — so slab memory retained by a burst
+//     drains back upstream between bursts instead of being held until
+//     destruction. Why that needs no lock is argued in try_idle_trim().
 //   * a BUSY trim: every busy_trim_every dispatches the dispatcher calls
 //     dag_engine::trim_pools_live(), which needs no quiescence window at
 //     all — it retires fully-free slabs into epoch limbo
 //     (src/mem/epoch.hpp) and frees them after the 2-epoch delay. A service
 //     under sustained traffic therefore returns burst memory while
 //     submissions are still in flight, instead of waiting for a quiet
-//     period the workload may never offer. No trim gate is involved: the
-//     epoch protocol, not exclusion, is what makes the trim safe.
+//     period the workload may never offer. The epoch protocol, not
+//     exclusion, is what makes this trim safe.
 //
-// Trim safety (quiescent path). Quiescent pool trim is only legal with no
-// concurrent pool traffic.
-// Pool traffic under a live service comes from exactly three places: worker
-// threads inside execute() (covered by live_vertices() != 0 while any body
-// runs), the dispatcher (it is the trimmer), and client threads allocating
-// or releasing tickets. The last is the race trim could not otherwise see —
-// hence trim_gate_: submit's ticket allocation and the client-side final
-// ticket release hold it shared; the idle trim holds it exclusively and
-// re-checks (queue empty && inflight == 0 && live_vertices() == 0 &&
-// service_idle()) before trimming. try_trim_pools re-verifies once more so
-// a mistimed fire degrades to `return false`, never to a use-after-free.
-//
-// Lifetime: tickets are pooled in the service's registry and MUST NOT
+// Lifetime: tickets are cells of the service's ticket pool and MUST NOT
 // outlive the service. Destruction runs shutdown(drain_mode::drain):
 // already-admitted submissions complete, late submit() calls reject.
 //
@@ -65,18 +59,16 @@
 // time spent waiting for admission+dispatch from time spent computing.
 
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 #include <utility>
 
 #include "dag/vertex.hpp"
+#include "mem/slab_pool.hpp"
 #include "sched/runtime.hpp"
-#include "service/mpmc_queue.hpp"
 #include "util/histogram.hpp"
 
 namespace spdag {
@@ -122,26 +114,24 @@ struct service_stats {
   std::uint64_t slabs_retired = 0;   // slabs busy trims parked in epoch limbo
   std::uint64_t slabs_reclaimed = 0; // limbo slabs freed after the 2-epoch
                                      // delay (by any reclaim sweep)
-  std::uint64_t queue_full_rejects = 0;  // submissions refused because the
-                                         // MPMC node arena hit its cap
-                                         // (counted inside `rejected` too)
   std::size_t inflight = 0;          // snapshot: admitted, not yet complete
   std::size_t peak_inflight = 0;
 };
 
 namespace detail {
 
-// Shared completion record behind a ticket. Pooled; two references — the
-// client's ticket and the service (held until the completion or rejection
-// path has fulfilled it).
+// Shared completion record behind a ticket, and the inbox node that carries
+// it to the dispatcher. Pooled; two references — the client's ticket and
+// the service (held until the completion or rejection path has fulfilled
+// it).
 struct ticket_state {
+  enum : int { pending, completed, rejected };
+
   dag_service* svc = nullptr;
-  vertex_body job;  // moved into the root vertex at dispatch
+  ticket_state* next = nullptr;  // inbox link; published by the push's CAS
+  vertex_body job;               // moved into the root vertex at dispatch
   std::atomic<int> refs{2};
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  bool rejected = false;
+  std::atomic<int> state{pending};  // clients wait() on it; set once
   std::chrono::steady_clock::time_point submit_tp;
   std::chrono::steady_clock::time_point dispatch_tp;
 };
@@ -149,9 +139,9 @@ struct ticket_state {
 }  // namespace detail
 
 // Client-side handle to one submission. Move-only; waitable from exactly
-// one thread at a time per handle (the state's cv supports any number of
-// handles, but a ticket cannot be copied — clone by sharing results through
-// the job itself). Must be destroyed before the service.
+// one thread at a time per handle (the state's atomic wait supports any
+// number of waiters, but a ticket cannot be copied — clone by sharing
+// results through the job itself). Must be destroyed before the service.
 class ticket {
  public:
   ticket() noexcept = default;
@@ -227,9 +217,6 @@ class dag_service {
     return sojourn_hist_;
   }
 
-  // Submission-queue depth right now (diagnostics).
-  std::size_t queue_depth() const noexcept { return queue_.approx_size(); }
-
   runtime& rt() noexcept { return rt_; }
 
  private:
@@ -237,23 +224,23 @@ class dag_service {
   using clock = std::chrono::steady_clock;
 
   bool admit();
+  detail::ticket_state* take_inbox() noexcept;
   void dispatch(detail::ticket_state* t);
   void reject_queued(detail::ticket_state* t);
   void complete(detail::ticket_state* t);
+  void resolve(detail::ticket_state* t, int outcome) noexcept;
   void dispatcher_main();
   void try_idle_trim();
   void maybe_busy_trim();
-  void release_ref(detail::ticket_state* t, bool via_gate) noexcept;
+  void release_ref(detail::ticket_state* t) noexcept;
 
   service_config cfg_;
+  // Declared before rt_ so it outlives the workers that free into it.
+  slab_pool<detail::ticket_state> tickets_{"service_ticket"};
   runtime rt_;
-  object_pool* ticket_pool_;
 
-  mpmc_queue<detail::ticket_state> queue_;
-
-  // See the file comment: shared = client-side pool traffic (ticket alloc /
-  // final release), exclusive = the idle trim.
-  std::shared_mutex trim_gate_;
+  // Submitted tickets, newest first (see the file comment).
+  std::atomic<detail::ticket_state*> inbox_{nullptr};
 
   // Admission. inflight_ is the only gate state; the mutex/cv pair exists
   // so blocked submitters can sleep (completions notify after decrement).
@@ -262,7 +249,9 @@ class dag_service {
   std::mutex admit_mu_;
   std::condition_variable admit_cv_;
 
-  // Dispatcher parking + idle timer.
+  // Dispatcher parking + idle timer. A push that finds the inbox empty and
+  // shutdown() notify under dispatch_mu_; the dispatcher re-checks both
+  // under it before sleeping, so no wakeup is lost.
   std::mutex dispatch_mu_;
   std::condition_variable dispatch_cv_;
   std::thread dispatcher_;
@@ -294,7 +283,6 @@ class dag_service {
   std::atomic<std::uint64_t> n_busy_trims_{0};
   std::atomic<std::uint64_t> n_slabs_retired_{0};
   std::atomic<std::uint64_t> n_slabs_reclaimed_{0};
-  std::atomic<std::uint64_t> n_queue_full_rejects_{0};
 
   latency_histogram queue_hist_;
   latency_histogram exec_hist_;

@@ -1,6 +1,8 @@
 // Adversarial dag_service concurrency (stress lane; CI re-runs this under
 // TSan and ASan): a multi-client completion storm over both schedulers with
-// a small admission cap forcing constant blocking, and a thread-slot
+// a small admission cap forcing constant blocking, idle trims firing while
+// clients allocate and free tickets (the service's trim-safety argument:
+// tickets live outside the registry the trim releases), and a thread-slot
 // exhaustion run where more concurrently-live client threads than
 // mem::max_thread_slots hammer submit() — over-cap threads must fall back
 // to uncached allocation gracefully (src/mem/thread_slot.hpp), never fail.
@@ -8,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -75,6 +79,70 @@ TEST_P(ServiceStressTest, CompletionStormUnderTightAdmission) {
   EXPECT_GT(s.blocked, 0u);              // the cap actually bit
   EXPECT_LE(s.peak_inflight, cfg.max_inflight);
   EXPECT_EQ(s.inflight, 0u);
+}
+
+TEST_P(ServiceStressTest, IdleTrimsRaceTicketTraffic) {
+  // Clients submit small bursts, wait, drop their tickets and sleep about
+  // 2 ms, out of phase with each other, so the 1 ms idle timer fires in the
+  // quiet gaps while other clients are mid-submit or mid-release. Each
+  // client keeps going until the service has counted kTrims idle trims
+  // (bounded by kMaxRounds), so the trims ran while clients still cycled.
+  constexpr int kClients = 4;
+  constexpr int kMinRounds = 20;
+  constexpr int kMaxRounds = 1000;
+  constexpr std::uint64_t kTrims = 3;
+  service_config cfg;
+  cfg.rt.workers = 2;
+  cfg.rt.sched = GetParam();
+  cfg.idle_trim_after = std::chrono::milliseconds(1);
+  dag_service svc(cfg);
+
+  std::atomic<std::uint64_t> leaves{0};
+  std::atomic<std::uint64_t> ok_waits{0};
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      std::minstd_rand rng(static_cast<unsigned>(c) + 1);
+      std::uniform_int_distribution<int> burst_len(1, 8);
+      std::uniform_int_distribution<int> sleep_us(1500, 2500);
+      std::vector<ticket> tickets;
+      for (int round = 0; round < kMaxRounds; ++round) {
+        if (round >= kMinRounds && svc.stats().idle_trims >= kTrims) break;
+        const int n = burst_len(rng);
+        for (int i = 0; i < n; ++i) {
+          tickets.push_back(svc.submit([&leaves] {
+            fork2([&leaves] { leaves.fetch_add(1, std::memory_order_relaxed); },
+                  [&leaves] {
+                    fork2([&leaves] {
+                            leaves.fetch_add(1, std::memory_order_relaxed);
+                          },
+                          [&leaves] {
+                            leaves.fetch_add(1, std::memory_order_relaxed);
+                          });
+                  });
+          }));
+          ASSERT_TRUE(tickets.back().valid());
+        }
+        for (auto& t : tickets) {
+          if (t.wait()) ok_waits.fetch_add(1, std::memory_order_relaxed);
+        }
+        tickets.clear();  // the final ticket releases race the idle timer
+        std::this_thread::sleep_for(std::chrono::microseconds(sleep_us(rng)));
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+
+  const auto s = svc.stats();
+  EXPECT_EQ(s.submitted, ok_waits.load());
+  EXPECT_EQ(s.admitted, s.submitted);
+  EXPECT_EQ(s.completed, s.submitted);
+  EXPECT_EQ(s.rejected, 0u);
+  EXPECT_EQ(leaves.load(), 3 * s.completed);
+  EXPECT_EQ(s.inflight, 0u);
+  EXPECT_GE(s.idle_trims, 1u);
+  EXPECT_GE(s.slabs_released, 1u);
 }
 
 TEST_P(ServiceStressTest, MoreClientThreadsThanThreadSlots) {

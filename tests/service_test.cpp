@@ -1,7 +1,9 @@
 // dag_service semantics across both schedulers: submit/wait round trips,
-// exactly-once completion under concurrent clients, admission backpressure
-// (block and reject), shutdown drain/reject conservation, the idle-timer
-// pool trim, and the checked try_trim_pools no-op contract.
+// arrival-order dispatch through the inbox, exactly-once completion under
+// concurrent clients, admission backpressure (block and reject), shutdown
+// drain/reject conservation, the idle-timer pool trim (with tickets kept
+// out of the registry it trims), and the checked try_trim_pools no-op
+// contract.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +17,6 @@
 #include "dag/serial_executor.hpp"
 #include "incounter/factory.hpp"
 #include "mem/registry.hpp"
-#include "service/mpmc_queue.hpp"
 #include "service/service.hpp"
 
 namespace spdag {
@@ -68,6 +69,51 @@ TEST_P(ServiceTest, NestedParallelismInsideSubmission) {
   ASSERT_TRUE(t.valid());
   EXPECT_TRUE(t.wait());
   EXPECT_EQ(leaves.load(), 3);
+}
+
+// The inbox is a LIFO list the dispatcher reverses; with one worker the
+// roots run in dispatch order, so any batch taken unreversed shows here.
+TEST_P(ServiceTest, SubmissionsStartInArrivalOrder) {
+  constexpr int kJobs = 1000;
+  dag_service svc(base_cfg(GetParam(), /*workers=*/1));
+  std::vector<int> order;
+  order.reserve(kJobs);
+  std::vector<ticket> tickets;
+  tickets.reserve(kJobs);
+  for (int i = 0; i < kJobs; ++i) {
+    tickets.push_back(svc.submit([&order, i] { order.push_back(i); }));
+    ASSERT_TRUE(tickets.back().valid());
+  }
+  for (auto& t : tickets) EXPECT_TRUE(t.wait());
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kJobs));
+  for (int i = 0; i < kJobs; ++i) {
+    ASSERT_EQ(order[static_cast<std::size_t>(i)], i) << "at position " << i;
+  }
+}
+
+// With the idle timer off the dispatcher sleeps without a timeout, so only
+// the push that finds the inbox empty can wake it. Back-to-back round trips
+// make nearly every push that one; a lost wakeup hangs here.
+TEST_P(ServiceTest, UntimedDispatcherWakesForEverySubmission) {
+  constexpr int kClients = 3;
+  constexpr int kRoundTrips = 500;
+  auto cfg = base_cfg(GetParam());
+  cfg.idle_trim_after = 0ms;
+  dag_service svc(cfg);
+  std::atomic<int> ran{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      for (int i = 0; i < kRoundTrips; ++i) {
+        auto t = svc.submit([&ran] { ran.fetch_add(1); });
+        ASSERT_TRUE(t.valid());
+        ASSERT_TRUE(t.wait());
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  EXPECT_EQ(ran.load(), kClients * kRoundTrips);
+  EXPECT_EQ(svc.stats().idle_trims, 0u);
 }
 
 TEST_P(ServiceTest, ConcurrentClientsCompleteExactlyOnce) {
@@ -317,6 +363,11 @@ TEST_P(ServiceTest, IdleTimerTrimsPoolsBetweenBursts) {
     return svc.rt().pools().totals().magazine_cells == 0;
   })) << "trim left magazine cells; retained="
       << svc.rt().pools().totals().retained();
+  // Tickets come from the service's own pool, never from the registry the
+  // idle trim releases.
+  for (const auto& row : svc.rt().pools().rows()) {
+    EXPECT_EQ(row.name.find("service_ticket"), std::string::npos) << row.name;
+  }
   // The service must still be fully serviceable after trimming.
   EXPECT_EQ(burst(100), 100u);
   const auto s = svc.stats();
@@ -350,102 +401,6 @@ TEST(TryTrimPools, RefusesWhileLiveAndTrimsAtQuiescence) {
   EXPECT_EQ(pools.totals().retained(), 0u);
   // And again: trimming an already-trimmed engine is a clean success.
   EXPECT_TRUE(engine.try_trim_pools());
-}
-
-// --- the submission queue in isolation --------------------------------------
-
-TEST(MpmcQueue, FifoSingleThread) {
-  mpmc_queue<int> q;
-  int values[3] = {1, 2, 3};
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.pop(), nullptr);
-  for (int& v : values) ASSERT_TRUE(q.push(&v));
-  EXPECT_EQ(q.approx_size(), 3u);
-  EXPECT_EQ(q.pop(), &values[0]);
-  EXPECT_EQ(q.pop(), &values[1]);
-  EXPECT_EQ(q.pop(), &values[2]);
-  EXPECT_EQ(q.pop(), nullptr);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(MpmcQueue, NodeArenaStopsGrowingOnReuse) {
-  mpmc_queue<int> q;
-  int v = 7;
-  for (int round = 0; round < 10000; ++round) {
-    ASSERT_TRUE(q.push(&v));
-    ASSERT_EQ(q.pop(), &v);
-  }
-  // Steady-state push/pop recycles through the free list: the arena high
-  // water mark stays a handful of nodes, not 10000.
-  EXPECT_LE(q.nodes_allocated(), 8u);
-  EXPECT_EQ(q.pushes(), 10000u);
-  EXPECT_EQ(q.pops(), 10000u);
-}
-
-TEST(MpmcQueue, ExhaustedArenaRejectsCleanly) {
-  // One chunk = 256 nodes; one is the resident dummy, so exactly 255 values
-  // fit before the arena cap. The 256th push must reject — returning false
-  // and counting it — not throw, and must leave the queue fully usable.
-  mpmc_queue<int, 1> q;
-  int v = 7;
-  std::size_t accepted = 0;
-  while (q.push(&v)) ++accepted;
-  EXPECT_EQ(accepted, 255u);
-  EXPECT_EQ(q.failed_pushes(), 1u);
-  EXPECT_EQ(q.pushes(), 255u);
-  // Rejection is non-destructive: drain, then the freed nodes recycle.
-  for (std::size_t i = 0; i < accepted; ++i) ASSERT_EQ(q.pop(), &v);
-  EXPECT_EQ(q.pop(), nullptr);
-  EXPECT_TRUE(q.push(&v));
-  EXPECT_EQ(q.pop(), &v);
-  EXPECT_EQ(q.nodes_allocated(), 256u);  // never grew past the cap
-}
-
-TEST(MpmcQueue, ConcurrentProducersConsumersLoseNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 20000;
-  mpmc_queue<int> q;
-  std::vector<int> payload(kProducers * kPerProducer);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<int>(i);
-  }
-  std::atomic<std::uint64_t> popped{0};
-  std::atomic<std::uint64_t> sum{0};
-  std::atomic<bool> done_producing{false};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(
-            q.push(&payload[static_cast<std::size_t>(p * kPerProducer + i)]));
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      for (;;) {
-        if (int* v = q.pop()) {
-          sum.fetch_add(static_cast<std::uint64_t>(*v),
-                        std::memory_order_relaxed);
-          popped.fetch_add(1, std::memory_order_relaxed);
-        } else if (done_producing.load(std::memory_order_acquire) &&
-                   q.empty()) {
-          return;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[static_cast<std::size_t>(p)].join();
-  done_producing.store(true, std::memory_order_release);
-  for (int c = 0; c < kConsumers; ++c) {
-    threads[static_cast<std::size_t>(kProducers + c)].join();
-  }
-  const std::uint64_t n = static_cast<std::uint64_t>(kProducers) * kPerProducer;
-  EXPECT_EQ(popped.load(), n);
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);  // every payload seen exactly once
 }
 
 }  // namespace
