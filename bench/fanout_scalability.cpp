@@ -15,24 +15,25 @@
 // "fanout_deep/..." configs use the scatter spec ("tree:2:1:<depth>") so
 // every registration dives <depth> levels before its first CAS,
 // deterministically building the deep, wide tree that contention would on a
-// many-core box — under BOTH schedulers, since each has its own drain lane
-// (ws: shared stealable queue; private: per-worker queues served through
-// the steal-request hand-off). The metric there is `lat_ms` —
+// many-core box — under both schedulers. Every subtree drain runs as an
+// ordinary vertex, so it moves between workers the way that scheduler
+// moves any vertex. The workload is harness::fanout_timed, whose producer
+// completes only after every consumer registered. The metric is `lat_ms` —
 // finalize-to-last-delivery wall time — plus `subtrees_offloaded` (finalize
-// work units handed to the executor), `drains_executed`/`drains_stolen`
-// (where they ran), and `drains_handed_off` (how many left their enqueuer
-// through the scheduler's transfer mechanism). With >= 2 workers a deep run
-// that offloads nothing, or that offloads but never executes a drain
-// through the lane, is an error (the drain machinery went dark) for either
-// scheduler, and CI smoke-runs exactly that configuration.
+// work units handed to the spawner) and `drains_enqueued` (drain vertices
+// the engine made of them). At any worker count, a pass that captures fewer
+// registrations than consumers, a run that offloads nothing, or offloads
+// that do not all become drain vertices is an error (the broadcast or its
+// drains went dark), and CI smoke-runs exactly that configuration.
 //
 // Scale knobs: -n / SPDAG_N (consumer count, default 1<<15), -proc /
 // SPDAG_PROC (max workers), -runs / SPDAG_RUNS, -prodns / SPDAG_PRODNS
-// (producer busy-work in ns; default scales with n so registrations pile up
-// against the still-pending future instead of taking the ready bypass),
-// -deep / SPDAG_DEEP (scatter depth of the deep-tree mode, default 8;
-// 0 disables those configs). -json <path> / SPDAG_JSON writes one
-// structured record per config (CI uploads them as BENCH_*.json).
+// (producer busy-work in ns of the non-deep configs; default scales with n
+// so registrations pile up against the still-pending future instead of
+// taking the ready bypass), -deep / SPDAG_DEEP (scatter depth of the
+// deep-tree mode, default 8; 0 disables those configs). -json <path> /
+// SPDAG_JSON writes one structured record per config (CI uploads them as
+// BENCH_*.json).
 
 #include <benchmark/benchmark.h>
 
@@ -55,7 +56,7 @@ namespace {
 
 using namespace spdag;
 
-// Set when a deep-mode run trips the drain-machinery guard. SkipWithError
+// Set when a deep-mode run trips the broadcast guard. SkipWithError
 // only annotates the report (the benchmark process still exits 0), so CI
 // needs this flag to turn the guard into a red build.
 std::atomic<bool> g_deep_drain_dark{false};
@@ -132,12 +133,10 @@ void register_config(const std::string& outset_spec, std::size_t workers,
 }
 
 // Deep-tree broadcast mode: scatter-forced depth, latency-instrumented
-// workload, parallel-drain counters — swept per scheduler so the two drain
-// lanes compare like for like.
+// workload, parallel-drain counters — swept per scheduler.
 void register_deep_config(const std::string& outset_spec,
                           const std::string& sched, std::size_t workers,
-                          std::uint64_t n, std::uint64_t producer_ns,
-                          int runs) {
+                          std::uint64_t n, int runs) {
   const std::string name = "fanout_deep/" + outset_spec + "/sched:" + sched +
                            "/proc:" + std::to_string(workers);
   benchmark::RegisterBenchmark(name.c_str(), [=](benchmark::State& st) {
@@ -145,31 +144,34 @@ void register_deep_config(const std::string& outset_spec,
     cfg.outset = outset_spec;
     cfg.sched = sched;
     runtime rt(cfg);
-    harness::fanout_timed(rt, n, 0, producer_ns, nullptr);  // warm-up
+    harness::fanout_timed(rt, n, 0, nullptr);  // warm-up
     obs::tracer::instance().reset();  // summary covers the measured window
     const outset_totals before = rt.outsets().totals();
-    const scheduler_totals sched_before = rt.sched().totals();
+    const std::uint64_t drains_before =
+        rt.engine().stats().drains_enqueued.load();
     // Per-consumer finalize-to-delivery latency across all measured
     // iterations: the distribution behind the lat_ms mean.
     latency_histogram hist;
     std::uint64_t delivered_sum = 0;
     double lat_sum_s = 0;
     double wall_sum_s = 0;
+    bool short_pass = false;
     for (auto _ : st) {
+      const std::uint64_t adds_before = rt.outsets().totals().adds;
       harness::fanout_timing timing;
       wall_timer t;
-      delivered_sum +=
-          harness::fanout_timed(rt, n, 0, producer_ns, &timing, &hist);
+      delivered_sum += harness::fanout_timed(rt, n, 0, &timing, &hist);
       const double el = t.elapsed_s();
       st.SetIterationTime(el);
       wall_sum_s += el;
       lat_sum_s += timing.finalize_to_last_s;
+      short_pass |= rt.outsets().totals().adds - adds_before != n;
     }
     const outset_totals after = rt.outsets().totals();
-    const scheduler_totals sched_after = rt.sched().totals();
-    const double offloaded = static_cast<double>(after.subtrees_offloaded -
-                                                 before.subtrees_offloaded);
-    const double captured = static_cast<double>(after.adds - before.adds);
+    const std::uint64_t offloaded =
+        after.subtrees_offloaded - before.subtrees_offloaded;
+    const std::uint64_t drains =
+        rt.engine().stats().drains_enqueued.load() - drains_before;
     // The headline: how long the completing future took to reach its LAST
     // consumer, mean over iterations.
     st.counters["lat_ms"] =
@@ -180,34 +182,29 @@ void register_deep_config(const std::string& outset_spec,
         static_cast<double>(hist.percentile_ns(0.50)) * 1e-6;
     st.counters["lat_p99_ms"] =
         static_cast<double>(hist.percentile_ns(0.99)) * 1e-6;
-    const double executed = static_cast<double>(sched_after.drains_executed -
-                                                sched_before.drains_executed);
-    st.counters["subtrees_offloaded"] = offloaded;
-    st.counters["drains_executed"] = executed;
-    st.counters["drains_stolen"] = static_cast<double>(
-        sched_after.drains_stolen - sched_before.drains_stolen);
-    st.counters["drains_handed_off"] = static_cast<double>(
-        sched_after.drains_handed_off - sched_before.drains_handed_off);
+    st.counters["subtrees_offloaded"] = static_cast<double>(offloaded);
+    st.counters["drains_enqueued"] = static_cast<double>(drains);
     st.counters["ops/s"] = benchmark::Counter(
         static_cast<double>(harness::outset_ops(n)),
         benchmark::Counter::kIsIterationInvariantRate);
     if (delivered_sum != st.iterations() * n) {
       st.SkipWithError("exactly-once delivery violated");
     }
-    // Captured scatter-deep registrations imply grown groups, grown groups
-    // must be offloaded, and multi-worker offloads must flow through the
-    // scheduler's drain lane (ws: shared queue; private: per-worker queues
-    // + steal-request hand-off) — anything else means the drain machinery
-    // went dark. A run where every consumer took the ready bypass (n=0, or
-    // a producer that finished before the wave) proves nothing and is not
-    // an error.
-    if (workers >= 2 && captured > 0 && (offloaded == 0 || executed == 0)) {
+    // The producer waits for every registration, so each pass must
+    // capture all n consumers; a scatter-deep tree of them must offload
+    // subtree drains, and every offload must reach the engine as a drain
+    // vertex. Anything else means the broadcast or its drains went dark.
+    const char* dark = nullptr;
+    if (short_pass) {
+      dark = "a pass captured fewer registrations than consumers";
+    } else if (n > 0 && offloaded == 0) {
+      dark = "deep-tree finalize offloaded no subtrees";
+    } else if (drains != offloaded) {
+      dark = "offloaded subtrees did not all become drain vertices";
+    }
+    if (dark != nullptr) {
       g_deep_drain_dark.store(true, std::memory_order_relaxed);
-      st.SkipWithError(offloaded == 0
-                           ? "deep-tree finalize offloaded no subtrees: "
-                             "parallel drain is dark"
-                           : "offloaded subtrees never ran through the "
-                             "scheduler's drain lane: hand-off is dark");
+      st.SkipWithError(dark);
     }
     if (harness::json_enabled()) {
       harness::json_record rec;
@@ -229,7 +226,8 @@ void register_deep_config(const std::string& outset_spec,
       rec.pools = rt.pools().rows();
       rec.pool_totals = rt.pools().totals();
       rec.outsets = after;
-      rec.sched_totals = sched_after;
+      rec.sched_totals = rt.sched().totals();
+      rec.extra.emplace_back("drains_enqueued", static_cast<double>(drains));
       harness::json_add(std::move(rec));
     }
   })
@@ -273,8 +271,7 @@ int main(int argc, char** argv) {
     const std::string deep_spec = "tree:2:1:" + std::to_string(deep);
     for (const auto& sched : scheds) {
       for (std::size_t p : harness::worker_sweep(common.max_proc)) {
-        register_deep_config(deep_spec, sched, p, common.n, producer_ns,
-                             common.runs);
+        register_deep_config(deep_spec, sched, p, common.n, common.runs);
       }
     }
   }
@@ -293,23 +290,24 @@ int main(int argc, char** argv) {
   if (deep > 0) {
     // Broadcast detail for one clean deep run at full width per scheduler
     // (rebuilt fresh so the counters are one run's, not the sweep's
-    // accumulation) — the like-for-like drain-lane comparison.
+    // accumulation).
     for (const auto& sched : scheds) {
       runtime_config cfg{common.max_proc, "dyn"};
       cfg.outset = "tree:2:1:" + std::to_string(deep);
       cfg.sched = sched;
       runtime rt(cfg);
-      harness::fanout_timed(rt, common.n, 0, producer_ns, nullptr);
+      harness::fanout_timed(rt, common.n, 0, nullptr);
       std::cout << "# sched=" << sched << " ";
-      harness::print_broadcast_stats(std::cout, rt.outsets().totals(),
-                                     rt.sched().totals());
+      harness::print_broadcast_stats(
+          std::cout, rt.outsets().totals(),
+          rt.engine().stats().drains_enqueued.load());
     }
   }
   const int json_rc = harness::json_write();
   if (g_deep_drain_dark.load(std::memory_order_relaxed)) {
     std::fprintf(stderr,
-                 "FAIL: deep-tree finalize offloaded no subtrees with >= 2 "
-                 "workers; the parallel drain machinery is dark\n");
+                 "FAIL: a deep-tree run missed registrations, offloaded no "
+                 "subtrees, or lost offloads before the engine\n");
     return 1;
   }
   return json_rc;

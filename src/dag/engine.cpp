@@ -1,7 +1,6 @@
 #include "dag/engine.hpp"
 
 #include <cassert>
-#include <vector>
 
 #include "mem/epoch.hpp"
 #include "obs/trace.hpp"
@@ -13,9 +12,6 @@ namespace spdag {
 namespace {
 thread_local vertex* tls_current_vertex = nullptr;
 thread_local dag_engine* tls_current_engine = nullptr;
-// Pending drains of the thread-local inline trampoline below; non-null only
-// while a drain loop is running on this thread.
-thread_local std::vector<outset_drain_task*>* tls_drain_queue = nullptr;
 
 constexpr engine_stats::field ledger_fields[] = {
     &engine_stats::vertices_created,
@@ -42,33 +38,6 @@ engine_stats::engine_stats(const engine_stats& other) noexcept {
 
 vertex* dag_engine::current_vertex() noexcept { return tls_current_vertex; }
 dag_engine* dag_engine::current_engine() noexcept { return tls_current_engine; }
-
-void executor::enqueue_drain(outset_drain_task* t) {
-  // Default: run on the calling thread, flattened — the serial-executor
-  // path, and what both schedulers fall back to when they cannot offload
-  // (one worker, saturated queue). A running task spawns its sub-tasks back
-  // through this very function, so recursing here would rebuild the deep
-  // call stack the iterative walks just removed; instead a nested call
-  // appends to the loop already draining this thread.
-  if (tls_drain_queue != nullptr) {
-    tls_drain_queue->push_back(t);
-    return;
-  }
-  // This path can run on threads no scheduler pins (the serial executor, a
-  // caller's own thread on the saturation fallback); drains walk out-set
-  // nodes whose recycled siblings a concurrent trim_live() could otherwise
-  // unmap, so hold a pin for the duration of the loop.
-  mem::epoch::pin_guard eg;
-  std::vector<outset_drain_task*> queue;
-  tls_drain_queue = &queue;
-  t->run();
-  while (!queue.empty()) {
-    outset_drain_task* next = queue.back();
-    queue.pop_back();
-    next->run();
-  }
-  tls_drain_queue = nullptr;
-}
 
 void dag_engine::tally(engine_stats::field f, std::uint64_t d) noexcept {
   // Release stores, so that live_vertices()' acquire loads see every
@@ -111,7 +80,25 @@ std::size_t dag_engine::live_vertices() const noexcept {
 
 void dag_engine::enqueue_drain(outset_drain_task* t) {
   tally(&engine_stats::drains_enqueued);
-  exec_.enqueue_drain(t);
+  drains_pending_.value.fetch_add(1, std::memory_order_acq_rel);
+  obs::gauge_add(obs::g_drains_pending, 1);
+  obs::emit(obs::ev_drain_enqueue);
+  vertex* v = new_vertex(nullptr, 0, nullptr, 0, /*is_left=*/false);
+  v->body = [this, t] {
+    {
+      // Drains walk out-set nodes whose recycled siblings a concurrent
+      // trim_live() could unmap. Workers are pinned already (the pin nests);
+      // this covers executors whose threads no scheduler pins.
+      mem::epoch::pin_guard eg;
+      obs::span_guard sg(obs::sp_drain);
+      t->run();
+    }
+    obs::gauge_add(obs::g_drains_pending, -1);
+    // Settled after run(), and after any re-offload the task made counted
+    // itself: a zero count means delivered, not merely dequeued.
+    drains_pending_.value.fetch_sub(1, std::memory_order_acq_rel);
+  };
+  exec_.enqueue(v);
 }
 
 std::size_t dag_engine::trim_pools() {

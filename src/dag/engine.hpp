@@ -5,7 +5,9 @@
 // counter. Scheduling is delegated through the `executor` interface: the
 // engine pushes a vertex to the executor exactly once, at the moment its
 // dependency counter reaches zero (readiness detection via the depart
-// return value, paper section 5). Vertices and dec-pairs are drawn from the
+// return value, paper section 5). The executor sees one kind of work: an
+// out-set subtree drain from a parallel future completion is wrapped in a
+// vertex too (enqueue_drain). Vertices and dec-pairs are drawn from the
 // engine's pool registry (src/mem/), so the spawn path's bookkeeping never
 // hits malloc in steady state.
 
@@ -32,16 +34,6 @@ class executor {
  public:
   virtual ~executor() = default;
   virtual void enqueue(vertex* v) = 0;
-
-  // Accepts one subtree-drain work unit from a parallel out-set finalize
-  // (see outset::finalize's drain_spawner overload). Both schedulers
-  // override — `ws` with a shared stealable lane, `private` with per-worker
-  // queues served through its steal-request protocol (receiver-initiated
-  // hand-off). The default runs the task on the calling thread through a
-  // flattening trampoline, so even inline execution keeps the stack bounded
-  // when tasks spawn sub-tasks (engine.cpp); it remains the serial-executor
-  // path and the schedulers' single-worker/saturation fallback.
-  virtual void enqueue_drain(outset_drain_task* t);
 };
 
 // The engine's ledger: monotone tallies of dag operations, cheap enough to
@@ -174,10 +166,21 @@ class dag_engine {
   // later by the zeroing signal.
   void add(vertex* v);
 
-  // Hands one out-set subtree-drain work unit to the executor so an idle
-  // worker can run it (future_state::complete routes its parallel finalize
-  // through here). The executor owns the task from this point.
+  // Hands one out-set subtree-drain work unit to the executor as an
+  // ordinary vertex (future_state::complete routes its parallel finalize
+  // through here). The vertex has no fin, so nothing waits on it, and its
+  // body runs t; deques, steals and steal requests move it like any other
+  // vertex. The task is owned by that vertex from this point.
   void enqueue_drain(outset_drain_task* t);
+
+  // Drain vertices enqueued and not yet through their body. Counted before
+  // the vertex is published and settled after its task ran, so zero means
+  // every drain was delivered. No finish waits on a drain, so a scheduler
+  // reads this before it reports quiescence (run()'s epilogue,
+  // service_idle()).
+  std::size_t drains_pending() const noexcept {
+    return drains_pending_.value.load(std::memory_order_acquire);
+  }
 
   // Quiescent-only maintenance: trims every pool in this engine's registry
   // (flush magazines + recycle list, release fully-free slabs upstream —
@@ -276,6 +279,10 @@ class dag_engine {
   // per-vertex tallies never contend.
   slot_ledger<engine_stats> ledger_;
   engine_stats baseline_;  // reset_stats(): subtracted by stats()
+
+  // See drains_pending(). On a line of its own: the fields around it are
+  // read by every worker on every vertex.
+  cache_aligned<std::atomic<std::size_t>> drains_pending_{0};
 
   object_pool* vertex_pool_;
   object_pool* pair_pool_;

@@ -25,11 +25,11 @@
 // registrant schedules its own consumer. Which implementation a future uses
 // comes from its engine's outset factory (runtime_config::outset, specs
 // "outset:simple" | "outset:tree[:fanout[:threshold[:scatter]]]").
-// Completion under an engine uses the out-set's PARALLEL finalize: subtree
-// drains are enqueued on the engine's executor as outset_drain_tasks so
-// idle workers broadcast alongside the completing one; each task holds a
-// pinned reference on the state, so the out-set is never reset under a
-// still-running drain.
+// Completion under an engine uses the out-set's PARALLEL finalize: each
+// subtree drain becomes a vertex on the engine's executor
+// (dag_engine::enqueue_drain), so idle workers steal and broadcast
+// alongside the completing one; each task holds a pinned reference on the
+// state, so the out-set is never reset under a still-running drain.
 //
 // Allocation: a future_state is one cell from the engine's pool registry
 // ("future_state" pool, one per value-type size), reference-counted
@@ -85,11 +85,11 @@ class future_state {
     ready_.store(true, std::memory_order_release);
     obs::span_guard sg(obs::sp_finalize);
     if (engine != nullptr) {
-      // Parallel finalize: deep out-set subtrees become drain tasks on the
-      // engine's executor, so idle workers broadcast alongside this thread.
+      // Parallel finalize: deep out-set subtrees become drain vertices on
+      // the engine's executor, so idle workers broadcast alongside this one.
       waiters_->finalize(&deliver, this, &offload_drain, this);
     } else {
-      // No engine to schedule stolen drains on — walk serially.
+      // No engine to schedule drain vertices on — walk serially.
       waiters_->finalize(&deliver, this);
     }
   }

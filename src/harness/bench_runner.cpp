@@ -134,16 +134,14 @@ void print_pool_stats(std::ostream& os,
 }
 
 void print_broadcast_stats(std::ostream& os, const outset_totals& outsets,
-                           const scheduler_totals& sched) {
+                           std::uint64_t drains_enqueued) {
   os << "# outset: adds=" << outsets.adds
      << " delivered=" << outsets.delivered
      << " retries=" << outsets.add_cas_retries
      << " rejected=" << outsets.rejected_adds
      << " subtrees_offloaded=" << outsets.subtrees_offloaded
      << " group_adds=" << outsets.group_adds
-     << " drains_executed=" << sched.drains_executed
-     << " drains_stolen=" << sched.drains_stolen
-     << " drains_handed_off=" << sched.drains_handed_off << "\n";
+     << " drains_enqueued=" << drains_enqueued << "\n";
 }
 
 std::vector<std::size_t> worker_sweep(std::size_t max_workers, std::size_t points) {
@@ -271,11 +269,9 @@ void emit_record(std::ostream& os, const json_record& r) {
      << ",\"work_frac\":" << r.trace.work_frac
      << ",\"steal_frac\":" << r.trace.steal_frac
      << ",\"idle_frac\":" << r.trace.idle_frac
-     << ",\"drain_frac\":" << r.trace.drain_frac
      << ",\"steal_attempts\":" << r.trace.steal_attempts
      << ",\"steal_successes\":" << r.trace.steal_successes
      << ",\"drains\":" << r.trace.drains
-     << ",\"drain_handoffs\":" << r.trace.drain_handoffs
      << ",\"finalizes\":" << r.trace.finalizes
      << ",\"submits\":" << r.trace.submits
      << ",\"admits\":" << r.trace.admits
@@ -302,10 +298,7 @@ void emit_record(std::ostream& os, const json_record& r) {
   os << ",\"scheduler_totals\":{\"executions\":" << r.sched_totals.executions
      << ",\"steals\":" << r.sched_totals.steals
      << ",\"failed_steal_sweeps\":" << r.sched_totals.failed_steal_sweeps
-     << ",\"parks\":" << r.sched_totals.parks
-     << ",\"drains_executed\":" << r.sched_totals.drains_executed
-     << ",\"drains_stolen\":" << r.sched_totals.drains_stolen
-     << ",\"drains_handed_off\":" << r.sched_totals.drains_handed_off << "}";
+     << ",\"parks\":" << r.sched_totals.parks << "}";
   os << ",\"extra\":{";
   for (std::size_t i = 0; i < r.extra.size(); ++i) {
     if (i > 0) os << ",";
@@ -383,10 +376,10 @@ int json_write() {
     const obs::trace_summary ts = tr.summary();
     std::printf(
         "# trace: mode=%s workers=%u work=%.1f%% steal=%.1f%% idle=%.1f%% "
-        "drain=%.1f%% events=%llu dropped=%llu\n",
+        "events=%llu dropped=%llu\n",
         obs::trace_summary::mode_name(ts.mode), ts.workers,
         100.0 * ts.work_frac, 100.0 * ts.steal_frac, 100.0 * ts.idle_frac,
-        100.0 * ts.drain_frac, static_cast<unsigned long long>(ts.events),
+        static_cast<unsigned long long>(ts.events),
         static_cast<unsigned long long>(ts.dropped));
     if (!s.trace_path.empty()) {
       if (tr.dump(s.trace_path) == 0) {

@@ -48,7 +48,7 @@ struct bench_result {
   std::uint64_t measured_slab_growths = 0;
   // Broadcast-side stats over the whole config (warm-up included): the
   // out-set totals (subtrees_offloaded = finalize work units handed off)
-  // and scheduler totals (drains_executed/drains_stolen = where they ran).
+  // and scheduler totals.
   outset_totals outsets;
   scheduler_totals sched;
 };
@@ -61,11 +61,10 @@ void print_pool_stats(std::ostream& os,
                       const std::vector<pool_registry_row>& rows);
 
 // One line of broadcast stats: adds / delivered / subtree drains offloaded
-// and where the scheduler ran them (executed / stolen by other workers /
-// handed off through the scheduler's transfer mechanism). Identical fields
-// for both schedulers so their drain lanes compare like for like.
+// by the out-sets and drain vertices enqueued by the engine (the two match
+// when every offload went through dag_engine::enqueue_drain).
 void print_broadcast_stats(std::ostream& os, const outset_totals& outsets,
-                           const scheduler_totals& sched);
+                           std::uint64_t drains_enqueued);
 
 // Standard sweep values -----------------------------------------------------
 

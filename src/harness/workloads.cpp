@@ -5,6 +5,7 @@
 
 #include "dag/future.hpp"
 #include "dag/parallel_for.hpp"
+#include "util/backoff.hpp"
 #include "util/dummy_work.hpp"
 
 namespace spdag::harness {
@@ -51,29 +52,36 @@ void stamp_latest(std::atomic<std::int64_t>* dest, std::int64_t t) {
   }
 }
 
-void fanout_timed_rec(future<std::uint64_t> f, std::atomic<std::uint64_t>* sum,
-                      std::atomic<std::int64_t>* latest,
-                      std::atomic<std::int64_t>* t0,
+// Shared by the producer and every consumer of one fanout_timed pass.
+struct fanout_clock {
+  std::atomic<std::uint64_t> sum{0};
+  std::atomic<std::uint64_t> registered{0};
+  std::atomic<std::int64_t> t0{0};
+  std::atomic<std::int64_t> latest{0};
+};
+
+void fanout_timed_rec(future<std::uint64_t> f, fanout_clock* c,
                       latency_histogram* hist, std::uint64_t k,
                       std::uint64_t work_ns) {
   if (k >= 2) {
-    fork2([=] { fanout_timed_rec(f, sum, latest, t0, hist, k / 2, work_ns); },
-          [=] {
-            fanout_timed_rec(f, sum, latest, t0, hist, k - k / 2, work_ns);
-          });
+    fork2([=] { fanout_timed_rec(f, c, hist, k / 2, work_ns); },
+          [=] { fanout_timed_rec(f, c, hist, k - k / 2, work_ns); });
   } else if (k == 1) {
-    future_then(f, [sum, latest, t0, hist, work_ns](std::uint64_t v) {
+    future_then(f, [c, hist, work_ns](std::uint64_t v) {
       // Stamp BEFORE the dummy work: delivery latency, not work time.
       const std::int64_t now = now_ns();
-      stamp_latest(latest, now);
+      stamp_latest(&c->latest, now);
       if (hist != nullptr) {
-        const std::int64_t start = t0->load(std::memory_order_relaxed);
+        const std::int64_t start = c->t0.load(std::memory_order_relaxed);
         hist->record(now > start ? static_cast<std::uint64_t>(now - start)
                                  : 0);
       }
       if (work_ns != 0) spin_ns(work_ns);
-      sum->fetch_add(v, std::memory_order_relaxed);
+      c->sum.fetch_add(v, std::memory_order_relaxed);
     });
+    // Released after the registration, so the producer's acquire of the
+    // full count orders every add before its finalize.
+    c->registered.fetch_add(1, std::memory_order_release);
   }
 }
 
@@ -190,36 +198,41 @@ std::uint64_t fanout(runtime& rt, std::uint64_t consumers,
 }
 
 std::uint64_t fanout_timed(runtime& rt, std::uint64_t consumers,
-                           std::uint64_t work_ns, std::uint64_t producer_ns,
-                           fanout_timing* timing, latency_histogram* hist) {
-  if (work_ns != 0 || producer_ns != 0) spin_units_per_ns();
-  std::atomic<std::uint64_t> sum{0};
-  std::atomic<std::int64_t> t0{0};
-  std::atomic<std::int64_t> latest{0};
-  auto* s = &sum;
-  auto* t0p = &t0;
-  auto* lp = &latest;
-  // Hand-rolled fork2_future so the finalize start can be stamped
-  // immediately before complete() — the producer closure of fork2_future
-  // offers no hook there.
-  rt.run([s, t0p, lp, hist, consumers, work_ns, producer_ns] {
+                           std::uint64_t work_ns, fanout_timing* timing,
+                           latency_histogram* hist) {
+  if (work_ns != 0) spin_units_per_ns();
+  fanout_clock clock;
+  fanout_clock* c = &clock;
+  // Hand-rolled fork2_future so the producer can wait for the registrations
+  // and stamp the finalize start immediately before complete() — the
+  // producer closure of fork2_future offers no hook there.
+  rt.run([c, hist, consumers, work_ns] {
     future<std::uint64_t> f = future<std::uint64_t>::make();
     fork2(
-        [f, t0p, producer_ns] {
-          if (producer_ns != 0) spin_ns(producer_ns);
-          t0p->store(now_ns(), std::memory_order_relaxed);
+        [f, c, consumers] {
+          // Every consumer registers before the broadcast starts, so the
+          // pass times the out-set's finalize, not a race with the consumer
+          // tree. One worker runs the consumer side first (LIFO) and never
+          // waits here; the deadline only bounds a bug.
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(1);
+          while (c->registered.load(std::memory_order_acquire) < consumers &&
+                 std::chrono::steady_clock::now() < deadline) {
+            cpu_relax();
+          }
+          c->t0.store(now_ns(), std::memory_order_relaxed);
           f.complete(1, dag_engine::current_engine());
         },
-        [f, s, lp, t0p, hist, consumers, work_ns] {
-          fanout_timed_rec(f, s, lp, t0p, hist, consumers, work_ns);
+        [f, c, hist, consumers, work_ns] {
+          fanout_timed_rec(f, c, hist, consumers, work_ns);
         });
   });
   if (timing != nullptr) {
-    const std::int64_t span = latest.load() - t0.load();
+    const std::int64_t span = clock.latest.load() - clock.t0.load();
     timing->finalize_to_last_s =
         (consumers > 0 && span > 0) ? static_cast<double>(span) * 1e-9 : 0.0;
   }
-  return sum.load();
+  return clock.sum.load();
 }
 
 std::uint64_t future_churn(runtime& rt, std::uint64_t n,

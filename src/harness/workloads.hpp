@@ -50,18 +50,17 @@ struct fanout_timing {
   double finalize_to_last_s = 0;
 };
 
-// fanout with broadcast-latency instrumentation: same workload and return
-// value, but each consumer stamps its delivery time and `timing` (if
-// non-null) receives finalize-to-last-delivery wall time. `hist` (if
-// non-null) additionally records every consumer's finalize-to-delivery
-// latency, giving the distribution (p50/p95/p99) rather than just the
-// worst case. The per-consumer clock read makes it slightly slower than
-// fanout(); use fanout() when only throughput matters. Pair with a
-// deep-broadcast out-set spec ("tree:<f>:<t>:<scatter>") to measure the
-// finalize walk itself.
+// fanout with broadcast-latency instrumentation: same return value, but
+// the producer completes only once every consumer has registered (a 1 s
+// deadline bounds the wait), so every consumer is captured by the out-set
+// and none takes the ready bypass. Each consumer stamps its delivery time
+// and `timing` (if non-null) receives finalize-to-last-delivery wall time.
+// `hist` (if non-null) additionally records every consumer's
+// finalize-to-delivery latency, giving the distribution (p50/p95/p99)
+// rather than just the worst case. Pair with a deep-broadcast out-set spec
+// ("tree:<f>:<t>:<scatter>") to measure the finalize walk itself.
 std::uint64_t fanout_timed(runtime& rt, std::uint64_t consumers,
-                           std::uint64_t work_ns, std::uint64_t producer_ns,
-                           fanout_timing* timing,
+                           std::uint64_t work_ns, fanout_timing* timing,
                            latency_histogram* hist = nullptr);
 
 // future_churn(n): n INDEPENDENT futures, each created, completed and

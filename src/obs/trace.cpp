@@ -298,8 +298,6 @@ trace_summary tracer::summary() const {
     s.steal_successes +=
         t->counts[ev_steal_success].load(std::memory_order_relaxed);
     s.drains += t->span_calls[sp_drain].load(std::memory_order_relaxed);
-    s.drain_handoffs +=
-        t->counts[ev_drain_handoff].load(std::memory_order_relaxed);
     s.finalizes += t->span_calls[sp_finalize].load(std::memory_order_relaxed);
     s.submits += t->counts[ev_submit].load(std::memory_order_relaxed);
     s.admits += t->counts[ev_admit].load(std::memory_order_relaxed);
@@ -325,12 +323,11 @@ trace_summary tracer::summary() const {
   s.drain_s = static_cast<double>(span_ticks[sp_drain]) * to_s;
   s.finalize_s = static_cast<double>(span_ticks[sp_finalize]) * to_s;
   s.trim_s = static_cast<double>(span_ticks[sp_trim]) * to_s;
-  const double denom = s.work_s + s.idle_s + s.steal_s + s.drain_s;
+  const double denom = s.work_s + s.idle_s + s.steal_s;
   if (denom > 0) {
     s.work_frac = s.work_s / denom;
     s.idle_frac = s.idle_s / denom;
     s.steal_frac = s.steal_s / denom;
-    s.drain_frac = s.drain_s / denom;
   }
   return s;
 }

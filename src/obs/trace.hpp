@@ -2,8 +2,8 @@
 // Runtime tracing: per-worker event rings + utilization counters.
 //
 // The paper's argument is about where time goes under contention; end-of-run
-// aggregates (scheduler_totals, pool_stats) cannot show a steal storm or a
-// drain hand-off stall as it happens. This subsystem records 16-byte events
+// aggregates (scheduler_totals, pool_stats) cannot show a steal storm or
+// an idle gap as it happens. This subsystem records 16-byte events
 // into per-worker single-writer ring buffers and, at quiescence, exports a
 // Chrome/Perfetto trace (trace_export.cpp) plus a utilization summary every
 // bench JSON record embeds.
@@ -15,7 +15,7 @@
 //               and a predicted-untaken branch per instrumentation site.
 //   counters  — per-worker event counts, span durations and live gauges
 //               accumulate; no ring writes, so nothing to export but the
-//               summary (work/steal/idle/drain fractions) is exact.
+//               summary (work/steal/idle fractions) is exact.
 //   full[:cap]— counters plus a fixed-capacity ring of timestamped events
 //               per worker (cap events, rounded up to a power of two,
 //               default 1<<16; drop-oldest on wrap). dump() merges the
@@ -79,7 +79,7 @@ enum event_id : std::uint16_t {
   ev_idle_end,
   ev_steal_begin,     // thieving (sweeps / steal-request round trips)
   ev_steal_end,
-  ev_drain_begin,     // running one out-set subtree drain task
+  ev_drain_begin,     // a drain vertex running its out-set subtree task
   ev_drain_end,
   ev_finalize_begin,  // future_state::complete broadcasting its out-set
   ev_finalize_end,
@@ -88,9 +88,7 @@ enum event_id : std::uint16_t {
   // Instants.
   ev_steal_attempt,   // a = victim worker
   ev_steal_success,   // a = victim worker
-  ev_drain_enqueue,   // drain task queued on the scheduler's drain lane
-  ev_drain_steal,     // drain executed by a non-enqueuing worker
-  ev_drain_handoff,   // private scheduler: drain answered a steal request
+  ev_drain_enqueue,   // dag_engine::enqueue_drain made a drain vertex
   ev_spawn,           // dag_engine::spawn
   ev_claim_dec,       // dag_engine::claim_dec
   ev_mag_refill,      // b = cells obtained
@@ -135,7 +133,7 @@ enum span_id : int {
 // thread's ring (full mode) so the exported trace grows counter tracks.
 enum gauge_id : int {
   g_runnable = 0,       // vertices enqueued but not yet executing
-  g_drains_pending,     // drain tasks on a scheduler lane, not yet run
+  g_drains_pending,     // drain vertices enqueued, task not yet run
   g_slab_kib,           // slab bytes currently held from upstream, in KiB
   g_inflight,           // dag_service submissions admitted, not yet complete
   g_epoch_lag,          // how far the oldest pinned record trails the
@@ -168,18 +166,17 @@ struct trace_summary {
                                    // when the ring dropped them)
   std::uint64_t dropped = 0;       // ring overwrites + slotless emits
   // Span time summed across workers (seconds), and each bucket's share of
-  // the four-way worker-loop split work+idle+steal+drain (informational
-  // spans — finalize, trim — overlap work and are excluded from the split).
-  double work_s = 0, idle_s = 0, steal_s = 0, drain_s = 0;
-  double work_frac = 0, idle_frac = 0, steal_frac = 0, drain_frac = 0;
-  double finalize_s = 0, trim_s = 0;
+  // the three-way worker-loop split work+idle+steal (informational spans —
+  // drain, finalize, trim — overlap work and are excluded from the split).
+  double work_s = 0, idle_s = 0, steal_s = 0;
+  double work_frac = 0, idle_frac = 0, steal_frac = 0;
+  double drain_s = 0, finalize_s = 0, trim_s = 0;
   // Headline event totals.
   std::uint64_t spawns = 0;
   std::uint64_t claim_decs = 0;
   std::uint64_t steal_attempts = 0;
   std::uint64_t steal_successes = 0;
   std::uint64_t drains = 0;          // drain spans completed
-  std::uint64_t drain_handoffs = 0;
   std::uint64_t finalizes = 0;
   // Resident-service submission lifecycle (zero outside a dag_service).
   std::uint64_t submits = 0;

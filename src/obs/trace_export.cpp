@@ -37,8 +37,6 @@ const ev_info& info_for(std::uint16_t id) noexcept {
       {ev_kind::instant, -1, "steal_attempt"},
       {ev_kind::instant, -1, "steal_success"},
       {ev_kind::instant, -1, "drain_enqueue"},
-      {ev_kind::instant, -1, "drain_steal"},
-      {ev_kind::instant, -1, "drain_handoff"},
       {ev_kind::instant, -1, "spawn"},
       {ev_kind::instant, -1, "claim_dec"},
       {ev_kind::instant, -1, "mag_refill"},

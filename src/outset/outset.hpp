@@ -55,12 +55,12 @@ struct outset_waiter {
 // drained. Out-set implementations that can partition their finalize walk
 // (the tree) package subtrees as drain tasks and hand them to the caller's
 // spawner instead of walking them on the completing thread, so idle workers
-// broadcast in parallel — through the ws scheduler's shared drain lane or
-// the private-deque scheduler's steal-request hand-off. Ownership passes
-// with the hand-off: whoever receives a task calls run() exactly once;
-// run() drains the subtree to the sink bound at finalize time, hands
-// still-deeper subtrees to the same spawner, invokes the on_done hook, and
-// releases the task's own pool cell.
+// broadcast in parallel. Under a runtime the spawner wraps each task in a
+// vertex (dag_engine::enqueue_drain), which any scheduler moves the way it
+// moves every vertex. Ownership passes with the task: whoever receives it
+// calls run() exactly once; run() drains the subtree to the sink bound at
+// finalize time, hands still-deeper subtrees to the same spawner, invokes
+// the on_done hook, and releases the task's own pool cell.
 class outset_drain_task {
  public:
   virtual void run() = 0;

@@ -24,7 +24,6 @@ void repool_waiter_cell(void* ctx, outset_waiter* w) {
 struct tree_outset::drain_task final : outset_drain_task {
   tree_outset* owner = nullptr;
   tree_node* group = nullptr;
-  std::uint32_t depth = 0;
   waiter_sink sink = nullptr;
   void* sink_ctx = nullptr;
   drain_spawner spawn = nullptr;
@@ -34,8 +33,7 @@ struct tree_outset::drain_task final : outset_drain_task {
     tree_outset* o = owner;
     void (*done)(void*) = on_done;
     void* done_ctx = on_done_ctx;
-    o->drain_nodes(group, o->cfg_.fanout, depth, sink, sink_ctx, spawn,
-                   spawn_ctx);
+    o->drain_nodes(group, o->cfg_.fanout, sink, sink_ctx, spawn, spawn_ctx);
     // Release before signaling completion: the hook may drop the last pin on
     // the finalize context and tear the out-set down, which is safe once
     // this subtree is fully drained and the cell is back in its pool.
@@ -194,22 +192,21 @@ void tree_outset::finalize(waiter_sink sink, void* ctx) {
 
 void tree_outset::finalize(waiter_sink sink, void* ctx, drain_spawner spawn,
                            void* spawn_ctx) {
-  drain_nodes(&base_, 1, 0, sink, ctx, spawn, spawn_ctx);
+  drain_nodes(&base_, 1, sink, ctx, spawn, spawn_ctx);
 }
 
 void tree_outset::drain_nodes(tree_node* first, std::uint32_t count,
-                              std::uint32_t depth, waiter_sink sink, void* ctx,
-                              drain_spawner spawn, void* spawn_ctx) {
+                              waiter_sink sink, void* ctx, drain_spawner spawn,
+                              void* spawn_ctx) {
   struct frame {
     tree_node* first;
     std::uint32_t count;
-    std::uint32_t depth;
   };
   // Explicit DFS stack: one frame per kept (not offloaded) group, so a
   // pathological tree costs heap, never call stack. Stays empty — no heap
-  // touch — for the common ungrown tree.
+  // touch — for the common ungrown tree and whenever a spawner is given.
   std::vector<frame> stack;
-  frame f{first, count, depth};
+  frame f{first, count};
   for (;;) {
     for (std::uint32_t i = 0; i < f.count; ++i) {
       tree_node* n = f.first + i;
@@ -233,15 +230,13 @@ void tree_outset::drain_nodes(tree_node* first, std::uint32_t count,
       // parallel down the tree.
       drain_chain(w, sink, ctx);
       if (kids == nullptr || kids == terminated_children()) continue;
-      const std::uint32_t kid_depth = f.depth + 1;
-      if (spawn != nullptr && kid_depth >= cfg_.offload_depth) {
+      if (spawn != nullptr) {
         // Hand the whole subtree to the spawner as one stolen work unit;
         // the task re-offloads the groups below it, so the frontier widens
         // by `fanout` per level across however many workers go idle.
         auto* t = pool_new<drain_task>(*drains_);
         t->owner = this;
         t->group = kids;
-        t->depth = kid_depth;
         t->sink = sink;
         t->sink_ctx = ctx;
         t->spawn = spawn;
@@ -249,7 +244,7 @@ void tree_outset::drain_nodes(tree_node* first, std::uint32_t count,
         count_offloaded();
         spawn(spawn_ctx, t);
       } else {
-        stack.push_back({kids, cfg_.fanout, kid_depth});
+        stack.push_back({kids, cfg_.fanout});
       }
     }
     if (stack.empty()) break;

@@ -23,12 +23,14 @@
 // terminated-waiter sentinel and streams the captured waiters to the sink
 // *before* touching descendants — consumers registered near the top of the
 // tree are running on other workers while deeper nodes are still being
-// drained. With the parallel overload the walk itself is partitioned: every
-// child group discovered at depth >= offload_depth is packaged as an
-// outset_drain_task (one pool cell from the registry's "outset_drain" pool)
-// and handed to the caller's spawner instead of being walked here, so idle
-// workers steal whole subtree drains; each task drains its group the same
-// way and re-offloads the groups below it. The add/finalize race is resolved
+// drained. With the parallel overload the walk itself is partitioned: the
+// finalizer drains the base node, and every child group it finds is
+// packaged as an outset_drain_task (one pool cell from the registry's
+// "outset_drain" pool) and handed to the caller's spawner instead of being
+// walked here; each task drains its group the same way and re-offloads the
+// groups below it. Under a runtime the spawner makes each task a vertex
+// (dag_engine::enqueue_drain), so idle workers steal whole subtree drains
+// the way they steal any vertex. The add/finalize race is resolved
 // per node regardless of which thread drains it: an add that loses a head
 // CAS to the sentinel, or a grow that loses the children CAS to the
 // sentinel, returns false and the registrant schedules its consumer itself
@@ -92,10 +94,6 @@ struct tree_outset_config {
   // A collided add descends with probability 1/grow_threshold (see file
   // comment); 1 = always, 0 = never.
   std::uint64_t grow_threshold = 1;
-  // Parallel finalize: child groups at depth >= offload_depth are handed to
-  // the spawner as drain tasks (when one is supplied). 1 = every group; the
-  // base node is always drained by the finalizing thread itself.
-  std::uint32_t offload_depth = 1;
   // Deep-broadcast mode (see file comment): adds dive this many levels on a
   // random path before their first CAS. 0 = off (grow on contention only).
   // The dive grows groups unconditionally — it forces structure, bypassing
@@ -170,14 +168,12 @@ class tree_outset final : public outset {
   // terminated_children() when finalize sealed the node first.
   tree_node* grow(tree_node* n) noexcept;
 
-  // The iterative finalize walk over `count` nodes starting at `first`
-  // (depth of those nodes given). Seals + drains each node, pushes kept
-  // child groups on an explicit stack, and offloads groups at depth >=
-  // offload_depth through `spawn` when present. Shared by finalize() (from
-  // the base node) and drain_task::run() (from a stolen group).
-  void drain_nodes(tree_node* first, std::uint32_t count, std::uint32_t depth,
-                   waiter_sink sink, void* ctx, drain_spawner spawn,
-                   void* spawn_ctx);
+  // The iterative finalize walk over `count` nodes starting at `first`.
+  // Seals + drains each node, and hands every child group to `spawn` when
+  // present, else walks it from an explicit stack. Shared by finalize()
+  // (from the base node) and drain_task::run() (from a stolen group).
+  void drain_nodes(tree_node* first, std::uint32_t count, waiter_sink sink,
+                   void* ctx, drain_spawner spawn, void* spawn_ctx);
 
   tree_outset_config cfg_;
   object_pool* groups_;

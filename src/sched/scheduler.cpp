@@ -3,6 +3,7 @@
 #include "mem/epoch.hpp"
 #include "obs/trace.hpp"
 #include "util/backoff.hpp"
+#include "util/single_writer.hpp"
 
 namespace spdag {
 
@@ -26,8 +27,6 @@ void scheduler::enqueue(vertex* v) {
   unpark_some();
 }
 
-void scheduler::enqueue_drain(outset_drain_task* t) { push_lane(t); }
-
 vertex* scheduler::next_vertex(std::size_t id) {
   worker& me = workers_[id]->value;
   if (vertex* v = me.deque.pop_bottom()) return v;
@@ -42,7 +41,7 @@ vertex* scheduler::next_vertex(std::size_t id) {
       if (victim == id) continue;
       obs::emit(obs::ev_steal_attempt, static_cast<std::uint16_t>(victim));
       if (vertex* v = workers_[victim]->value.deque.steal_top()) {
-        stats(id).steals.fetch_add(1, std::memory_order_relaxed);
+        bump(stats(id).steals);
         obs::emit(obs::ev_steal_success, static_cast<std::uint16_t>(victim));
         return v;
       }
@@ -50,20 +49,16 @@ vertex* scheduler::next_vertex(std::size_t id) {
     if (vertex* v = pop_injected()) return v;
     cpu_relax();
   }
-  stats(id).failed_steal_sweeps.fetch_add(1, std::memory_order_relaxed);
+  bump(stats(id).failed_steal_sweeps);
   return nullptr;
 }
 
-bool scheduler::idle_work(std::size_t id) {
+bool scheduler::idle_work(std::size_t) {
   // No vertex anywhere: a steal-failure transition is a natural epoch
   // communication point — no stale pointers are held, so tick the advance
-  // machinery before looking for drain work.
+  // machinery before the worker parks.
   mem::epoch::tick();
-  // An idle worker is exactly who should steal a subtree drain (the dag's
-  // critical path keeps priority over broadcast bookkeeping). The shared
-  // lane is this scheduler's transfer mechanism, so every drain that ran on
-  // a non-enqueuing worker left its enqueuer through it.
-  return run_lane_drain(id, /*lane_hands_off=*/true);
+  return false;
 }
 
 }  // namespace spdag

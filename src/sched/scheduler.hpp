@@ -30,12 +30,6 @@ class scheduler final : public scheduler_base {
   // deque; everyone else goes through the injection queue.
   void enqueue(vertex* v) override;
 
-  // Drain lane for parallel out-set finalize: tasks land on the shared lane
-  // that workers poll only when they have no vertex work, so subtree drains
-  // migrate to idle cores without displacing the dag's critical path. run()
-  // does not return until the lane is empty (drains are part of quiescence).
-  void enqueue_drain(outset_drain_task* t) override;
-
  private:
   struct worker {
     explicit worker(std::size_t id)
@@ -47,7 +41,7 @@ class scheduler final : public scheduler_base {
   // Own deque, then the injection queue, then steal sweeps over random
   // victims; null after steal_sweeps_before_park failed sweeps.
   vertex* next_vertex(std::size_t id) override;
-  // Ticks the epoch and runs one lane drain.
+  // Ticks the epoch; finds no work (next_vertex already swept every deque).
   bool idle_work(std::size_t id) override;
 
   // Failed steal sweeps before a worker parks.

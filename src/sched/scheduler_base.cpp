@@ -4,8 +4,8 @@
 
 #include "mem/epoch.hpp"
 #include "obs/trace.hpp"
-#include "outset/outset.hpp"
 #include "util/backoff.hpp"
+#include "util/single_writer.hpp"
 #include "util/topology.hpp"
 
 namespace spdag {
@@ -21,22 +21,20 @@ int scheduler_base::my_worker_id() const noexcept {
   return tls_scheduler == this ? tls_worker_id : -1;
 }
 
-template <typename T>
-void scheduler_base::fifo<T>::push(T item) {
+void scheduler_base::fifo::push(vertex* v) {
   std::lock_guard<std::mutex> lock(mu);
-  items.push_back(item);
+  items.push_back(v);
   size.fetch_add(1, std::memory_order_release);
 }
 
-template <typename T>
-T scheduler_base::fifo<T>::pop() {
-  if (size.load(std::memory_order_acquire) == 0) return T{};
+vertex* scheduler_base::fifo::pop() {
+  if (size.load(std::memory_order_acquire) == 0) return nullptr;
   std::lock_guard<std::mutex> lock(mu);
-  if (items.empty()) return T{};
-  T item = items.front();
+  if (items.empty()) return nullptr;
+  vertex* v = items.front();
   items.pop_front();
   size.fetch_sub(1, std::memory_order_release);
-  return item;
+  return v;
 }
 
 scheduler_base::scheduler_base(scheduler_config cfg)
@@ -50,11 +48,6 @@ scheduler_base::scheduler_base(scheduler_config cfg)
 
 scheduler_base::~scheduler_base() {
   assert(threads_.empty() && "a derived destructor must call stop() first");
-  // Structured use leaves nothing here: run() and end_service() hold out for
-  // drain quiescence. Anything that was still queued at teardown came from
-  // direct executor use, and stop() (plus the scheduler's own flush) ran it.
-  assert(drains_pending_.load(std::memory_order_acquire) == 0 &&
-         "drain accounting out of balance at teardown");
 }
 
 void scheduler_base::start() {
@@ -72,67 +65,11 @@ void scheduler_base::stop() {
   }
   for (auto& t : threads_) t.join();
   threads_.clear();
-  run_lane_dry();
-}
-
-void scheduler_base::run_lane_dry() {
-  // Workers are joined, so this is single-threaded. A drain task must run
-  // exactly once or its cells leak; one that re-offloads from this
-  // (non-worker) thread lands back in the lane, which the loop keeps
-  // draining.
-  while (outset_drain_task* t = lane_.pop().task) run_leftover(t);
-}
-
-void scheduler_base::run_leftover(outset_drain_task* t) {
-  t->run();
-  obs::gauge_add(obs::g_drains_pending, -1);
-  drains_pending_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void scheduler_base::inject(vertex* v) { injected_.push(v); }
 
 vertex* scheduler_base::pop_injected() { return injected_.pop(); }
-
-void scheduler_base::count_drain() {
-  drains_pending_.fetch_add(1, std::memory_order_acq_rel);
-  obs::gauge_add(obs::g_drains_pending, 1);
-  obs::emit(obs::ev_drain_enqueue);
-}
-
-void scheduler_base::push_lane(outset_drain_task* t) {
-  count_drain();
-  lane_.push({t, my_worker_id()});
-  unpark_some();
-}
-
-bool scheduler_base::run_lane_drain(std::size_t id, bool lane_hands_off) {
-  const lane_item item = lane_.pop();
-  if (item.task == nullptr) return false;
-  const bool migrated = item.from != static_cast<int>(id);
-  if (migrated && lane_hands_off) {
-    stats(id).drains_handed_off.fetch_add(1, std::memory_order_relaxed);
-  }
-  run_drain(id, item.task, migrated);
-  return true;
-}
-
-void scheduler_base::run_drain(std::size_t id, outset_drain_task* t,
-                               bool migrated) {
-  {
-    obs::span_guard sg(obs::sp_drain);
-    t->run();
-  }
-  obs::gauge_add(obs::g_drains_pending, -1);
-  counters& c = stats(id);
-  c.drains_executed.fetch_add(1, std::memory_order_relaxed);
-  if (migrated) {
-    c.drains_stolen.fetch_add(1, std::memory_order_relaxed);
-    obs::emit(obs::ev_drain_steal);
-  }
-  // Decrement AFTER run(), and after any re-offloads the task made bumped
-  // the count: pending == 0 must mean fully delivered, not merely dequeued.
-  drains_pending_.fetch_sub(1, std::memory_order_acq_rel);
-}
 
 bool scheduler_base::any_busy() const {
   for (const auto& r : rows_) {
@@ -199,7 +136,7 @@ void scheduler_base::execute(std::size_t id, vertex* v) {
   }
   // Counted before the release store of false, so a reader that finds
   // every flag false also reads every execution in totals().
-  me.stats.executions.fetch_add(1, std::memory_order_relaxed);
+  bump(me.stats.executions);
   me.busy.store(false, std::memory_order_release);
   if (is_final) {
     std::lock_guard<std::mutex> lock(done_mu_);
@@ -219,7 +156,7 @@ void scheduler_base::park(std::size_t id) {
   {
     std::unique_lock<std::mutex> lock(park_mu_);
     if (!stopping()) {
-      stats(id).parks.fetch_add(1, std::memory_order_relaxed);
+      bump(stats(id).parks);
       parked_.fetch_add(1, std::memory_order_acq_rel);
       {
         obs::span_guard sg(obs::sp_idle);
@@ -248,17 +185,17 @@ void scheduler_base::run(dag_engine& engine, vertex* root, vertex* final_v) {
     std::unique_lock<std::mutex> lock(done_mu_);
     done_cv_.wait(lock, [this] { return done_.load(std::memory_order_acquire); });
   }
-  // The final vertex ran, but a worker may still be in the epilogue of a
-  // chained/spawned vertex (recycling it), and empty-subtree drain tasks
-  // (no consumer gated the finish on them) may still be queued holding
-  // pinned future states. Spin out both so that returning from run()
-  // implies every vertex is recycled and every drain delivered. Clearing
-  // the stop vertex keeps a later service-mode vertex that recycles its
-  // address from firing the done_ notification.
+  // The final vertex ran, but drain vertices (no finish waits on them) may
+  // still be queued or running, holding pinned future states, and a worker
+  // may still be in the epilogue of a vertex (recycling it). Spin out both
+  // so that returning from run() implies every drain delivered and every
+  // vertex recycled. The count is read first: the acquire that reads zero
+  // makes the last drain's busy flag visible to the scan, so the scan
+  // waits out that vertex's recycle too. Clearing the stop vertex keeps a
+  // later service-mode vertex that recycles its address from firing the
+  // done_ notification.
   backoff b;
-  while (any_busy() || drains_pending_.load(std::memory_order_acquire) != 0) {
-    b.pause();
-  }
+  while (engine.drains_pending() != 0 || any_busy()) b.pause();
   stop_vertex_.store(nullptr, std::memory_order_release);
 }
 
@@ -287,11 +224,12 @@ void scheduler_base::end_service() {
 }
 
 bool scheduler_base::service_idle() const {
+  const dag_engine* eng = engine_.load(std::memory_order_acquire);
   return injected_.size.load(std::memory_order_acquire) == 0 &&
-         drains_pending_.load(std::memory_order_acquire) == 0 && !any_busy();
+         (eng == nullptr || eng->drains_pending() == 0) && !any_busy();
 }
 
-scheduler_totals scheduler_base::totals() const {
+scheduler_totals scheduler_base::sum_rows() const {
   scheduler_totals t;
   for (const auto& r : rows_) {
     const counters& c = r->value.stats;
@@ -299,21 +237,27 @@ scheduler_totals scheduler_base::totals() const {
     t.steals += c.steals.load(std::memory_order_relaxed);
     t.failed_steal_sweeps += c.failed_steal_sweeps.load(std::memory_order_relaxed);
     t.parks += c.parks.load(std::memory_order_relaxed);
-    t.drains_executed += c.drains_executed.load(std::memory_order_relaxed);
-    t.drains_stolen += c.drains_stolen.load(std::memory_order_relaxed);
-    t.drains_handed_off += c.drains_handed_off.load(std::memory_order_relaxed);
   }
   return t;
 }
 
+scheduler_totals scheduler_base::totals() const {
+  scheduler_totals t = sum_rows();
+  t.executions -= baseline_.executions.load(std::memory_order_relaxed);
+  t.steals -= baseline_.steals.load(std::memory_order_relaxed);
+  t.failed_steal_sweeps -=
+      baseline_.failed_steal_sweeps.load(std::memory_order_relaxed);
+  t.parks -= baseline_.parks.load(std::memory_order_relaxed);
+  return t;
+}
+
 void scheduler_base::reset_totals() {
-  for (auto& r : rows_) {
-    counters& c = r->value.stats;
-    for (auto* f : {&c.executions, &c.steals, &c.failed_steal_sweeps, &c.parks,
-                    &c.drains_executed, &c.drains_stolen, &c.drains_handed_off}) {
-      f->store(0, std::memory_order_relaxed);
-    }
-  }
+  const scheduler_totals t = sum_rows();
+  baseline_.executions.store(t.executions, std::memory_order_relaxed);
+  baseline_.steals.store(t.steals, std::memory_order_relaxed);
+  baseline_.failed_steal_sweeps.store(t.failed_steal_sweeps,
+                                      std::memory_order_relaxed);
+  baseline_.parks.store(t.parks, std::memory_order_relaxed);
 }
 
 }  // namespace spdag

@@ -12,11 +12,14 @@
 //
 // scheduler_base owns everything except how work is found: the worker
 // threads and their epoch-pinned loop, the busy-flag execute bracket,
-// parking, the injection queue for non-worker threads, one shared drain
-// lane, drain accounting, run() and service mode, and the per-worker
-// counters behind totals(). A scheduler supplies its queues and two hooks:
-// next_vertex() finds a vertex to execute, and idle_work() runs something
-// else (a drain, or a steal that may yield one) before the worker parks.
+// parking, the injection queue for non-worker threads, run() and service
+// mode, and the per-worker counters behind totals(). A scheduler supplies
+// its queues and two hooks: next_vertex() finds a vertex to execute, and
+// idle_work() does something else (a steal) before the worker parks.
+//
+// Vertices are the only work: an out-set subtree drain arrives as a vertex
+// like any other (dag_engine::enqueue_drain), and run() and service_idle()
+// read the engine's pending-drain count because no finish waits on one.
 
 #include <atomic>
 #include <chrono>
@@ -39,19 +42,6 @@ struct scheduler_totals {
   std::uint64_t steals = 0;
   std::uint64_t failed_steal_sweeps = 0;
   std::uint64_t parks = 0;
-  // Out-set subtree-drain tasks run by workers (the parallel finalize lane;
-  // zero when every drain ran inline on the enqueuing thread).
-  std::uint64_t drains_executed = 0;
-  // Of those, tasks run by a worker other than the enqueuing one — finalize
-  // work that actually migrated to an idle core.
-  std::uint64_t drains_stolen = 0;
-  // Drain tasks that left their enqueuing worker through the scheduler's
-  // transfer mechanism: for `private`, a steal request answered with a
-  // queued drain (receiver-initiated hand-off); for `ws` the shared lane IS
-  // the transfer mechanism, so this equals drains_stolen there. Both
-  // schedulers report all three fields so bench/fanout_scalability -deep can
-  // compare them like for like.
-  std::uint64_t drains_handed_off = 0;
 };
 
 struct scheduler_config {
@@ -85,14 +75,18 @@ class scheduler_base : public executor {
   void end_service();
 
   // True when this scheduler holds no queued or running work: injection
-  // queue empty, no worker mid-execute, no drain task pending. NOT a full
-  // quiescence proof by itself — vertices can sit in worker-private deques
-  // between executes — so resident-service callers pair it with
-  // engine.live_vertices() == 0, which covers anything a deque could hold.
+  // queue empty, no drain pending in the attached engine, no worker
+  // mid-execute. NOT a full quiescence proof by itself — vertices can sit
+  // in worker-private deques between executes — so resident-service
+  // callers pair it with engine.live_vertices() == 0, which covers
+  // anything a deque could hold.
   bool service_idle() const;
 
   std::size_t worker_count() const noexcept { return rows_.size(); }
+  // The per-worker counters summed, minus the reset_totals() baseline.
   scheduler_totals totals() const;
+  // Makes totals() read zero from here on by recording the current sums as
+  // a baseline; it never writes a worker's row, so it loses no increment.
   void reset_totals();
 
   // Index of the calling worker thread, or -1 for external threads.
@@ -103,32 +97,23 @@ class scheduler_base : public executor {
 
   // Thread lifecycle: a derived constructor calls start() last, once its
   // own per-worker state exists; a derived destructor calls stop() first.
-  // stop() joins the workers and then runs every drain still in the shared
-  // lane on the calling thread. A scheduler that queues drains elsewhere
-  // runs those after stop() and calls run_lane_dry() again for whatever
-  // they re-offload; ~scheduler_base asserts that nothing is left pending.
   void start();
   void stop();
-  void run_lane_dry();
 
   // The vertex worker `id` executes next, or null when it has none.
   virtual vertex* next_vertex(std::size_t id) = 0;
   // Called when next_vertex() found nothing: do one piece of other work
-  // (run a drain, steal) and return whether anything was done; false
-  // parks the worker.
+  // (a steal) and return whether anything was done; false parks the worker.
   virtual bool idle_work(std::size_t id) = 0;
 
-  // Per-worker counters are relaxed atomics: they are worker-local on the
-  // hot path (uncontended), but totals()/reset_totals() may run while idle
-  // workers are still bumping their park counts.
+  // Per-worker counters. The owning worker is the only writer, with bump()
+  // (util/single_writer.hpp); they stay atomics so totals() can read them
+  // while workers run.
   struct counters {
     std::atomic<std::uint64_t> executions{0};
     std::atomic<std::uint64_t> steals{0};
     std::atomic<std::uint64_t> failed_steal_sweeps{0};
     std::atomic<std::uint64_t> parks{0};
-    std::atomic<std::uint64_t> drains_executed{0};
-    std::atomic<std::uint64_t> drains_stolen{0};
-    std::atomic<std::uint64_t> drains_handed_off{0};
   };
   counters& stats(std::size_t id) noexcept { return rows_[id]->value.stats; }
 
@@ -143,41 +128,17 @@ class scheduler_base : public executor {
   void inject(vertex* v);
   vertex* pop_injected();
 
-  // Drain accounting. count_drain() must precede the publication of the
-  // task (in the shared lane or any scheduler-private queue), and
-  // run_drain() settles it only after the task has run, so a zero pending
-  // count alone proves that every queue is empty and every drain delivered.
-  void count_drain();
-  // Shared lane: pushes {t, enqueuing worker or -1}; counts and unparks.
-  void push_lane(outset_drain_task* t);
-  // Runs the oldest lane drain on worker `id`; false when the lane is
-  // empty. `lane_hands_off`: a drain from another enqueuer counts as
-  // handed off (the lane is the scheduler's transfer mechanism).
-  bool run_lane_drain(std::size_t id, bool lane_hands_off);
-  // Runs `t` on worker `id` and settles the pending count; `migrated` = it
-  // was enqueued by a different worker (or externally).
-  void run_drain(std::size_t id, outset_drain_task* t, bool migrated);
-  // Runs `t` on the tearing-down thread (workers joined) and settles it.
-  void run_leftover(outset_drain_task* t);
-
   void unpark_some();
 
  private:
   // Mutexed FIFO with a lock-free emptiness probe.
-  template <typename T>
   struct fifo {
     std::mutex mu;
-    std::deque<T> items;
+    std::deque<vertex*> items;
     std::atomic<std::size_t> size{0};
 
-    void push(T item);
-    T pop();  // T{} when empty
-  };
-  // One queued lane drain; `from` is the enqueuing worker (-1 external),
-  // kept to tell migrated drains from self-run ones.
-  struct lane_item {
-    outset_drain_task* task = nullptr;
-    int from = -1;
+    void push(vertex* v);
+    vertex* pop();  // null when empty
   };
   struct row {
     // True while this worker runs execute(); the owner is the only writer.
@@ -191,6 +152,7 @@ class scheduler_base : public executor {
   void park(std::size_t id);
   // True while some worker is inside execute().
   bool any_busy() const;
+  scheduler_totals sum_rows() const;
 
   // Park timeout; bounds the cost of a lost wakeup.
   static constexpr std::chrono::microseconds park_timeout{500};
@@ -199,11 +161,9 @@ class scheduler_base : public executor {
   std::vector<std::unique_ptr<padded<row>>> rows_;
   std::vector<std::thread> threads_;
 
-  fifo<vertex*> injected_;
-  fifo<lane_item> lane_;
-  // Counted before publication, settled after the drain ran (see
-  // count_drain); run()'s epilogue, service_idle() and teardown read it.
-  std::atomic<int> drains_pending_{0};
+  counters baseline_;  // reset_totals(): subtracted by totals()
+
+  fifo injected_;
 
   std::mutex park_mu_;
   std::condition_variable park_cv_;

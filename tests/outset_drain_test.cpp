@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -208,13 +207,12 @@ TEST(TreeOutsetDrain, ParallelDrainersDeliverExactlyOnceUnderRacingAdds) {
   }
 }
 
-// --- end-to-end: deep-tree finalize through the runtime's drain lane ---
+// --- end-to-end: deep-tree finalize through the runtime's drain vertices ---
 
 // Spec × scheduler matrix over the runtime: forced-depth scatter trees (two
-// shapes) plus the never-grow ablation, each under both executors. The ws
-// scheduler serves drains from its shared stealable lane; the private-deque
-// scheduler hands them off through its steal-request protocol — and with
-// >= 2 workers the hand-off must actually fire (drains_handed_off > 0).
+// shapes) plus the never-grow ablation, each under both schedulers. Every
+// offloaded subtree reaches the engine as a drain vertex, which the
+// scheduler runs like any other vertex.
 class DeepTreeRuntime
     : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
@@ -223,70 +221,36 @@ TEST_P(DeepTreeRuntime, DeepTreeFinalizeDeliversEveryConsumer) {
   const std::string& spec = std::get<1>(GetParam());
   // Scatter specs ("tree:f:t:scatter") force grown trees, so finalize MUST
   // offload subtree drains; "tree:<f>:0" is the defined never-grow ablation
-  // whose walk is the base line only — nothing to offload, and the drain
-  // lane must stay dark rather than invent work.
+  // whose walk is the base line only — nothing to offload, and no drain
+  // vertex may be invented.
   const bool scatter = spec.find(":1:") != std::string::npos;
   runtime_config cfg{4, "dyn"};
   cfg.outset = spec;
   cfg.sched = sched;
   runtime rt(cfg);
+  constexpr std::uint64_t kConsumers = 4000;
   for (int round = 0; round < 5; ++round) {
-    ASSERT_EQ(harness::fanout(rt, 4000, 0, /*producer_ns=*/500'000), 4000u)
+    const outset_totals before = rt.outsets().totals();
+    // The producer completes only after every consumer registered, so the
+    // out-set captures all of them and none takes the ready bypass.
+    ASSERT_EQ(harness::fanout_timed(rt, kConsumers, 0, nullptr), kConsumers)
         << "round " << round;
-  }
-  // The hand-off window — a steal request landing while the finalizing
-  // worker's deque holds no spare vertex but its drain queue is not empty —
-  // is a scheduling coincidence. On a few-core host a thief only runs when
-  // the OS preempts the finalizing worker, so the window depends on how the
-  // broadcast's wall time straddles scheduling quanta: plain builds need
-  // LONG rounds (a broadcast spanning several quanta gets preempted mid-
-  // backlog), while sanitizer builds need SHORT ones (instrumentation
-  // stretches the backlog so thieves stay active through it, and long
-  // rounds just burn the budget). Alternate both shapes and retry until
-  // the hand-off fires, bounded so a genuinely dark path still fails
-  // loudly.
-  const bool wants_handoff = scatter && sched == "private";
-  if (wants_handoff) {
-    // A wall-clock bound, not a round count: what the retry actually buys
-    // is elapsed scheduling quanta, and rounds per quantum differ by ~10x
-    // between plain and sanitizer builds. Typically resolves in
-    // milliseconds; the deadline only matters when the path is dark.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(45);
-    for (int round = 0; rt.sched().totals().drains_handed_off == 0 &&
-                        std::chrono::steady_clock::now() < deadline;
-         ++round) {
-      const bool big = (round & 1) == 0;
-      const std::uint64_t n = big ? 4000 : 64;
-      ASSERT_EQ(harness::fanout(rt, n, 0,
-                                /*producer_ns=*/big ? 500'000 : 100'000),
-                n)
-          << "hand-off round " << round;
-    }
+    const outset_totals after = rt.outsets().totals();
+    EXPECT_EQ(after.adds - before.adds, kConsumers) << "round " << round;
+    EXPECT_EQ(after.delivered - before.delivered, kConsumers)
+        << "round " << round;
   }
   EXPECT_EQ(rt.engine().live_vertices(), 0u);
   const outset_totals t = rt.outsets().totals();
-  EXPECT_EQ(t.adds, t.delivered)
-      << "every captured registration must be delivered";
-  const scheduler_totals st = rt.sched().totals();
   if (scatter) {
     EXPECT_GT(t.subtrees_offloaded, 0u)
         << "deep trees must hand subtree drains to the executor";
-    EXPECT_GT(rt.engine().stats().drains_enqueued.load(), 0u)
-        << "drains must be enqueued through the engine";
-    EXPECT_GT(st.drains_executed, 0u)
-        << "the " << sched << " scheduler must run queued drains";
-    if (sched == "private") {
-      EXPECT_GT(st.drains_handed_off, 0u)
-          << "a multi-worker private-deque run must answer steal requests "
-             "with queued drains (receiver-initiated hand-off)";
-    }
   } else {
     EXPECT_EQ(t.subtrees_offloaded, 0u)
         << "the never-grow ablation has no subtrees to offload";
-    EXPECT_EQ(st.drains_executed, 0u);
-    EXPECT_EQ(st.drains_handed_off, 0u);
   }
+  EXPECT_EQ(rt.engine().stats().drains_enqueued.load(), t.subtrees_offloaded)
+      << "every offloaded subtree must become exactly one drain vertex";
 }
 
 class TimedDeepTree : public ::testing::TestWithParam<std::string> {};
@@ -297,9 +261,7 @@ TEST_P(TimedDeepTree, TimedFanoutMeasuresBroadcastLatency) {
   cfg.sched = GetParam();
   runtime rt(cfg);
   harness::fanout_timing timing;
-  ASSERT_EQ(harness::fanout_timed(rt, 1000, 0, /*producer_ns=*/500'000,
-                                  &timing),
-            1000u);
+  ASSERT_EQ(harness::fanout_timed(rt, 1000, 0, &timing), 1000u);
   EXPECT_GT(timing.finalize_to_last_s, 0.0)
       << "finalize-to-last-delivery latency must be measured";
 }

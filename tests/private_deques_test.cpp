@@ -1,16 +1,17 @@
 // Tests for the private-deques scheduler (Acar-Charguéraud-Rainey,
-// PPoPP'13), its receiver-initiated drain hand-off protocol, and
+// PPoPP'13), out-set drain vertices under its steal-request protocol, and
 // cross-scheduler equivalence checks.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <tuple>
 
 #include "harness/workloads.hpp"
 #include "outset/outset.hpp"
-#include "sched/private_deques.hpp"
 #include "sched/runtime.hpp"
 
 namespace spdag {
@@ -90,26 +91,32 @@ INSTANTIATE_TEST_SUITE_P(
       return algo + "_w" + std::to_string(std::get<1>(info.param));
     });
 
-// --- receiver-initiated drain hand-off protocol ---
+// --- drain vertices under the steal-request protocol ---
 
 // Drain task that bumps a counter and releases itself, per the ownership
-// contract (whoever receives it calls run() exactly once).
+// contract (whoever receives it calls run() exactly once). `sleep_ms` makes
+// it slow enough that a final vertex queued after it runs first.
 class counting_drain final : public outset_drain_task {
  public:
-  explicit counting_drain(std::atomic<int>* runs) : runs_(runs) {}
+  explicit counting_drain(std::atomic<int>* runs, int sleep_ms = 0)
+      : runs_(runs), sleep_ms_(sleep_ms) {}
   void run() override {
+    if (sleep_ms_ > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms_));
+    }
     runs_->fetch_add(1, std::memory_order_acq_rel);
     delete this;
   }
 
  private:
   std::atomic<int>* runs_;
+  int sleep_ms_;
 };
 
-// A vertex chain that keeps its worker's deque at exactly one task between
-// polls: every communicate() sees no vertex to spare, so a pending steal
-// request MUST be answered with a queued drain. The chain only ends once
-// every drain has run, which pins the full hand-off path deterministically.
+// A vertex chain that keeps one vertex of its own above the drains in its
+// worker's deque: the worker always pops the chain (LIFO), while a steal
+// request is answered with the oldest task, a drain. The chain only ends
+// once every drain has run, which pins that path deterministically.
 void chain_until_drained(std::atomic<int>* runs, int total) {
   if (runs->load(std::memory_order_acquire) >= total) return;
   finish_then([] {}, [runs, total] { chain_until_drained(runs, total); });
@@ -119,67 +126,42 @@ TEST(PrivateDequesDrains, EmptyDequeAnswersStealRequestWithQueuedDrain) {
   constexpr int kDrains = 8;
   runtime rt(pd(2));
   std::atomic<int> runs{0};
-  scheduler_base& sched = rt.sched();
-  rt.run([&runs, &sched] {
-    // Enqueued from a worker thread: all land on THIS worker's private
-    // queue. The chain below never yields a spare vertex and never goes
-    // idle, so the only way the drains can run before the dag ends is the
-    // other worker's steal requests being answered with them.
+  rt.run([&runs] {
+    // Enqueued from a worker thread: all land at the top of THIS worker's
+    // deque. The chain below never goes idle and never lets its worker pop
+    // a drain, so the drains can only run on the other worker, which gets
+    // each one by a steal request.
     for (int i = 0; i < kDrains; ++i) {
-      sched.enqueue_drain(new counting_drain(&runs));
+      dag_engine::current_engine()->enqueue_drain(new counting_drain(&runs));
     }
     chain_until_drained(&runs, kDrains);
   });
   EXPECT_EQ(runs.load(), kDrains) << "every drain must run exactly once";
-  const scheduler_totals t = rt.sched().totals();
-  EXPECT_EQ(t.drains_executed, static_cast<std::uint64_t>(kDrains));
-  EXPECT_EQ(t.drains_handed_off, static_cast<std::uint64_t>(kDrains))
-      << "a worker with an empty deque but queued drains must answer steal "
-         "requests with the drains";
-  EXPECT_EQ(t.drains_stolen, static_cast<std::uint64_t>(kDrains))
-      << "every handed-off drain ran on the thief, not the enqueuer";
+  EXPECT_EQ(rt.sched().totals().steals, static_cast<std::uint64_t>(kDrains))
+      << "every drain must leave its worker through a steal request";
 }
 
 TEST(PrivateDequesDrains, RunWaitsForDrainQuiescence) {
   // A drain enqueued mid-dag with no consumer gating the finish on it must
-  // still be delivered before run() returns (drains count toward
-  // quiescence), on any worker count — including the single-worker inline
-  // path, where nothing is queued at all.
-  for (std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
-    runtime rt(pd(workers));
-    std::atomic<int> runs{0};
-    scheduler_base& sched = rt.sched();
-    rt.run([&runs, &sched] {
-      for (int i = 0; i < 4; ++i) {
-        sched.enqueue_drain(new counting_drain(&runs));
-      }
-    });
-    EXPECT_EQ(runs.load(), 4) << "workers=" << workers;
-    if (workers == 1) {
-      EXPECT_EQ(rt.sched().totals().drains_executed, 0u)
-          << "a single worker has no thief to hand to: drains run inline "
-             "through the trampoline, invisible to the lane stats";
+  // still be delivered before run() returns, under either scheduler and on
+  // any worker count. Each drain sleeps, so the final vertex runs first.
+  for (const char* sched : {"ws", "private"}) {
+    for (std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+      runtime_config cfg{workers, "dyn"};
+      cfg.sched = sched;
+      runtime rt(cfg);
+      std::atomic<int> runs{0};
+      rt.run([&runs] {
+        for (int i = 0; i < 4; ++i) {
+          dag_engine::current_engine()->enqueue_drain(
+              new counting_drain(&runs, /*sleep_ms=*/1));
+        }
+      });
+      EXPECT_EQ(runs.load(), 4) << sched << ", workers=" << workers;
+      EXPECT_EQ(rt.engine().drains_pending(), 0u);
+      EXPECT_EQ(rt.engine().live_vertices(), 0u);
     }
   }
-}
-
-TEST(PrivateDequesDrains, ShutdownWithUndrainedQueuesRunsThemWithoutLeaking) {
-  // Unstructured teardown: drains injected from a non-worker thread with no
-  // run() to drive quiescence. Destruction must neither leak the tasks
-  // (each counting_drain frees itself in run(); ASan would flag the loss)
-  // nor deadlock the join — whatever idle workers did not adopt in time is
-  // flushed by the destructor itself.
-  constexpr int kDrains = 64;
-  std::atomic<int> runs{0};
-  {
-    private_deque_scheduler sched(scheduler_config{2, false});
-    for (int i = 0; i < kDrains; ++i) {
-      sched.enqueue_drain(new counting_drain(&runs));
-    }
-  }  // destroyed immediately: queues may well still hold tasks
-  EXPECT_EQ(runs.load(), kDrains)
-      << "every enqueued drain must run exactly once across adoption and "
-         "teardown";
 }
 
 // Both schedulers must produce identical program results and conservation

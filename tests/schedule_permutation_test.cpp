@@ -2,11 +2,11 @@
 // scheduler (any ready vertex may run next) across many seeds. This explores
 // execution orders a LIFO work-stealing scheduler would rarely produce and
 // catches hidden ordering assumptions in the engine (the class of bug behind
-// the finish_then publication race). The executor also owns a drain lane of
-// the same kind: out-set subtree drains enqueued by a parallel finalize are
-// permuted against vertex execution, so a drain may be deferred past any
-// amount of dag progress — the adversarial interleaving a real scheduler
-// produces only under unlucky steals.
+// the finish_then publication race). Out-set subtree drains enqueued by a
+// parallel finalize arrive as vertices too, so they are permuted against
+// the rest of the dag: a drain may be deferred past any amount of dag
+// progress — the adversarial interleaving a real scheduler produces only
+// under unlucky steals.
 
 #include <gtest/gtest.h>
 
@@ -24,36 +24,24 @@
 namespace spdag {
 namespace {
 
-// Valid single-threaded scheduler that picks a uniformly random ready item —
-// vertex or queued drain task — at every step.
+// Valid single-threaded scheduler that picks a uniformly random ready
+// vertex (drain vertices included) at every step.
 class random_order_executor final : public executor {
  public:
   explicit random_order_executor(std::uint64_t seed) : rng_(seed) {}
 
   void enqueue(vertex* v) override { ready_.push_back(v); }
 
-  // Queue instead of running inline: drains become schedulable items whose
-  // position relative to vertex execution the seed decides.
-  void enqueue_drain(outset_drain_task* t) override { drains_.push_back(t); }
-
   std::size_t run_all(dag_engine& engine) {
     std::size_t n = 0;
-    while (!ready_.empty() || !drains_.empty()) {
-      std::size_t i = static_cast<std::size_t>(
-          rng_.below(ready_.size() + drains_.size()));
-      if (i < ready_.size()) {
-        vertex* v = ready_[i];
-        ready_[i] = ready_.back();
-        ready_.pop_back();
-        engine.execute(v);
-        ++n;
-      } else {
-        i -= ready_.size();
-        outset_drain_task* t = drains_[i];
-        drains_[i] = drains_.back();
-        drains_.pop_back();
-        t->run();  // may enqueue deeper subtrees back onto the lane
-      }
+    while (!ready_.empty()) {
+      const std::size_t i =
+          static_cast<std::size_t>(rng_.below(ready_.size()));
+      vertex* v = ready_[i];
+      ready_[i] = ready_.back();
+      ready_.pop_back();
+      engine.execute(v);
+      ++n;
     }
     return n;
   }
@@ -61,7 +49,6 @@ class random_order_executor final : public executor {
  private:
   xoshiro256 rng_;
   std::vector<vertex*> ready_;
-  std::vector<outset_drain_task*> drains_;
 };
 
 void run_seeded(const std::string& algo, std::uint64_t seed,
@@ -178,7 +165,7 @@ void setup_batch_mixed(dag_engine& engine, vertex* root, vertex* final_v) {
   engine.add(root);
 }
 
-// --- drain-enqueue order vs vertex execution ---
+// --- drain vertices vs the rest of the dag ---
 
 constexpr int kFutureConsumers = 96;
 
@@ -227,9 +214,12 @@ TEST(SchedulePermutationDrains, FutureFanoutDeliversOnceUnderPermutedDrains) {
                                                                 << seed;
     EXPECT_EQ(g_leaves.load(), kFutureConsumers) << "seed " << seed;
     EXPECT_EQ(engine.live_vertices(), 0u) << "seed " << seed;
+    EXPECT_EQ(engine.drains_pending(), 0u) << "seed " << seed;
     const outset_totals t = outsets->totals();
     EXPECT_EQ(t.adds, t.delivered)
         << "seed " << seed << ": captured registrations must all be drained";
+    EXPECT_EQ(engine.stats().drains_enqueued.load(), t.subtrees_offloaded)
+        << "seed " << seed;
     offloaded_total += t.subtrees_offloaded;
   }
   EXPECT_GT(offloaded_total, 0u)

@@ -11,7 +11,6 @@
 
 #include "harness/workloads.hpp"
 #include "mem/epoch.hpp"
-#include "outset/outset.hpp"
 #include "sched/chase_lev.hpp"
 #include "sched/runtime.hpp"
 #include "sched/scheduler.hpp"
@@ -186,33 +185,6 @@ TEST(Scheduler, ManyConsecutiveRunsDoNotLeakVertices) {
 
 TEST(Scheduler, CurrentWorkerIdIsMinusOneOutside) {
   EXPECT_EQ(scheduler::current_worker_id(), -1);
-}
-
-class counting_drain final : public outset_drain_task {
- public:
-  explicit counting_drain(std::atomic<int>* runs) : runs_(runs) {}
-  void run() override {
-    runs_->fetch_add(1, std::memory_order_acq_rel);
-    delete this;
-  }
-
- private:
-  std::atomic<int>* runs_;
-};
-
-TEST(Scheduler, ShutdownRunsDrainsStillInTheLane) {
-  // Unstructured teardown: drains pushed from a non-worker thread with no
-  // run() to drive quiescence. Each runs exactly once, on an idle worker or
-  // in the destructor; a task left behind would leak (ASan reports it).
-  constexpr int kDrains = 64;
-  std::atomic<int> runs{0};
-  {
-    scheduler sched(scheduler_config{2, false});
-    for (int i = 0; i < kDrains; ++i) {
-      sched.enqueue_drain(new counting_drain(&runs));
-    }
-  }
-  EXPECT_EQ(runs.load(), kDrains);
 }
 
 // One scheduler switched from run() to service mode and back. After each
