@@ -185,8 +185,9 @@ class dag_engine {
   // Quiescent-only maintenance: trims every pool in this engine's registry
   // (flush magazines + recycle list, release fully-free slabs upstream —
   // see object_pool::trim), returning slabs released. ONLY legal between
-  // run()s: every scheduler's run() drains to quiescence and parks its
-  // workers before returning, which is exactly the no-racing-readers window
+  // run()s: every scheduler's run() drains to quiescence before returning,
+  // and its idle workers then execute nothing until the next run() — which
+  // is exactly the no-racing-readers window
   // in which unmapping free slabs cannot violate the stale-read stability
   // argument live slabs rely on. Asserts live_vertices() == 0 as a cheap
   // proxy for that contract. If the registry is shared (the process-wide

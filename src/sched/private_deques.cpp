@@ -38,7 +38,7 @@ void private_deque_scheduler::communicate(std::size_t id, bool can_give) {
   mem::epoch::tick();
   worker& me = workers_[id]->value;
   const int thief = me.request.value.load(std::memory_order_acquire);
-  if (thief == no_request) return;
+  if (thief < 0) return;  // no_request, or closed by on_park()
   worker& other = workers_[static_cast<std::size_t>(thief)]->value;
   if (can_give && !me.tasks.empty()) {
     // Serve the OLDEST task: it is the root of the largest unexplored
@@ -59,7 +59,7 @@ vertex* private_deque_scheduler::try_steal(std::size_t id,
   int expect = no_request;
   if (!workers_[victim]->value.request.value.compare_exchange_strong(
           expect, static_cast<int>(id), std::memory_order_acq_rel)) {
-    return nullptr;  // another thief beat us to this victim
+    return nullptr;  // another thief beat us to this victim, or it sleeps
   }
   // Spin for the answer; keep declining our own incoming requests so two
   // thieves waiting on each other cannot deadlock.
@@ -85,26 +85,40 @@ vertex* private_deque_scheduler::next_vertex(std::size_t id) {
   return v;
 }
 
-bool private_deque_scheduler::idle_work(std::size_t id) {
+vertex* private_deque_scheduler::steal(std::size_t id) {
   worker& me = workers_[id]->value;
-  obs::span_guard sg(obs::sp_steal);
-  for (std::size_t attempt = 0; attempt < steal_attempts_before_park;
-       ++attempt) {
-    const std::size_t victim =
-        static_cast<std::size_t>(me.rng.below(workers_.size()));
+  const std::size_t n = workers_.size();
+  for (std::size_t attempt = 0; attempt < 2 * n; ++attempt) {
+    const std::size_t victim = static_cast<std::size_t>(me.rng.below(n));
     if (victim == id) continue;
     obs::emit(obs::ev_steal_attempt, static_cast<std::uint16_t>(victim));
     if (vertex* v = try_steal(id, victim)) {
-      me.tasks.push_back(v);
       bump(stats(id).steals);
       obs::emit(obs::ev_steal_success, static_cast<std::uint16_t>(victim));
-      return true;
+      return v;
     }
     bump(stats(id).failed_steal_sweeps);
     communicate(id, /*can_give=*/false);
-    if (stopping()) return false;
+    if (stopping()) return nullptr;
   }
-  return false;
+  return nullptr;
+}
+
+void private_deque_scheduler::on_park(std::size_t id) {
+  // Close the cell; a request already in it is declined first (this worker
+  // has nothing to give), so no thief waits on a sleeper.
+  std::atomic<int>& request = workers_[id]->value.request.value;
+  int expect = no_request;
+  while (!request.compare_exchange_strong(expect, closed,
+                                          std::memory_order_acq_rel)) {
+    communicate(id, /*can_give=*/false);
+    expect = no_request;
+  }
+}
+
+void private_deque_scheduler::on_wake(std::size_t id) {
+  workers_[id]->value.request.value.store(no_request,
+                                          std::memory_order_release);
 }
 
 }  // namespace spdag

@@ -14,7 +14,10 @@
 //     spare);
 //   * an idle thief publishes a request to a random victim and spins on its
 //     own transfer cell — declining any incoming request while it spins,
-//     which is what makes thief-thief encounters deadlock-free.
+//     which is what makes thief-thief encounters deadlock-free;
+//   * a worker about to sleep closes its request cell, declining a request
+//     already there, and reopens it on waking: a thief's CAS then fails at
+//     once instead of waiting for an answer from a sleeper.
 //
 // The trade: task execution pays zero synchronization on the deque, at the
 // cost of steal latency bounded by the victim's polling interval.
@@ -40,6 +43,7 @@ class private_deque_scheduler final : public scheduler_base {
 
  private:
   static constexpr int no_request = -1;
+  static constexpr int closed = -2;  // the owner sleeps (on_park)
   // Transfer-cell sentinels (never valid vertex addresses).
   static vertex* waiting() { return reinterpret_cast<vertex*>(std::uintptr_t{1}); }
   static vertex* declined() { return reinterpret_cast<vertex*>(std::uintptr_t{2}); }
@@ -57,17 +61,17 @@ class private_deque_scheduler final : public scheduler_base {
   // locality; thieves get the oldest through communicate()), else an
   // injected vertex.
   vertex* next_vertex(std::size_t id) override;
-  // Steal attempts against random victims; a stolen vertex lands on the
-  // thief's own deque.
-  bool idle_work(std::size_t id) override;
+  // 2n steal requests to uniformly random victims.
+  vertex* steal(std::size_t id) override;
+  // Close and reopen the request cell around a sleep.
+  void on_park(std::size_t id) override;
+  void on_wake(std::size_t id) override;
   // Answers a pending steal request; `can_give` = serve the oldest task,
   // otherwise decline.
   void communicate(std::size_t id, bool can_give);
-  // Requests a vertex from `victim`; null when declined or beaten to it.
+  // Requests a vertex from `victim`; null when declined, beaten to it, or
+  // the victim's cell is closed.
   vertex* try_steal(std::size_t id, std::size_t victim);
-
-  // Failed steal attempts before a worker parks.
-  static constexpr std::size_t steal_attempts_before_park = 16;
 
   std::vector<std::unique_ptr<padded<worker>>> workers_;
 };

@@ -3,11 +3,10 @@
 //
 // One Chase-Lev deque per worker; the owner treats it as a LIFO stack
 // (mirrors serial execution order, keeps the working set hot), thieves take
-// the oldest (largest) task from a uniformly random victim. Idle workers
-// back off and then park on a condition variable with a short timeout, which
-// matters doubly on oversubscribed hosts where spinning steals the mutator's
-// cycles. This is the substrate role played in the paper by the authors'
-// PASL work-stealing scheduler [2].
+// the oldest (largest) task from a uniformly random victim. An idle worker
+// spins briefly, sweeping with backoff, then sleeps on its own futex word
+// until an enqueue wakes it (scheduler_base). This is the substrate role
+// played in the paper by the authors' PASL work-stealing scheduler [2].
 
 #include <cstddef>
 #include <memory>
@@ -38,14 +37,10 @@ class scheduler final : public scheduler_base {
     xoshiro256 rng;
   };
 
-  // Own deque, then the injection queue, then steal sweeps over random
-  // victims; null after steal_sweeps_before_park failed sweeps.
+  // Own deque, then the injection queue.
   vertex* next_vertex(std::size_t id) override;
-  // Ticks the epoch; finds no work (next_vertex already swept every deque).
-  bool idle_work(std::size_t id) override;
-
-  // Failed steal sweeps before a worker parks.
-  static constexpr std::size_t steal_sweeps_before_park = 4;
+  // 2n steal attempts on uniformly random victims.
+  vertex* steal(std::size_t id) override;
 
   std::vector<std::unique_ptr<padded<worker>>> workers_;
 };

@@ -6,6 +6,7 @@
 #include "obs/trace.hpp"
 #include "util/backoff.hpp"
 #include "util/single_writer.hpp"
+#include "util/spin_wait.hpp"
 #include "util/topology.hpp"
 
 namespace spdag {
@@ -24,13 +25,19 @@ int scheduler_base::my_worker_id() const noexcept {
 void scheduler_base::fifo::push(vertex* v) {
   std::lock_guard<std::mutex> lock(mu);
   items.push_back(v);
-  size.fetch_add(1, std::memory_order_release);
+  // seq_cst, like park()'s read of it: see the argument above park().
+  size.fetch_add(1, std::memory_order_seq_cst);
 }
 
 vertex* scheduler_base::fifo::pop() {
-  if (size.load(std::memory_order_acquire) == 0) return nullptr;
-  std::lock_guard<std::mutex> lock(mu);
-  if (items.empty()) return nullptr;
+  if (size.load(std::memory_order_seq_cst) == 0) return nullptr;
+  // Every spinning worker probes the size, so several can see one vertex
+  // at once. One takes the lock and the rest move on: queueing on a
+  // contended std::mutex would put them to sleep, and make the winner's
+  // unlock pay a futex wake before it runs the vertex. A worker that moves
+  // on does not sleep on it (park() re-reads the size).
+  std::unique_lock<std::mutex> lock(mu, std::try_to_lock);
+  if (!lock.owns_lock() || items.empty()) return nullptr;
   vertex* v = items.front();
   items.pop_front();
   size.fetch_sub(1, std::memory_order_release);
@@ -58,11 +65,11 @@ void scheduler_base::start() {
 }
 
 void scheduler_base::stop() {
-  shutdown_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(park_mu_);
-    park_cv_.notify_all();
-  }
+  // Wakes every worker, registered or about to register: a worker re-reads
+  // shutdown_ after its registration (park()), and one that registered
+  // before this store finds its word reset here.
+  shutdown_.store(true, std::memory_order_seq_cst);
+  for (auto& r : rows_) wake(r->value.asleep, 0);
   for (auto& t : threads_) t.join();
   threads_.clear();
 }
@@ -79,9 +86,16 @@ bool scheduler_base::any_busy() const {
 }
 
 void scheduler_base::unpark_some() {
-  if (parked_.load(std::memory_order_acquire) > 0) {
-    std::lock_guard<std::mutex> lock(park_mu_);
-    park_cv_.notify_one();
+  if (sleepers_.load(std::memory_order_seq_cst) == 0) return;
+  for (auto& r : rows_) {
+    std::atomic<std::uint32_t>& word = r->value.asleep;
+    std::uint32_t registered = 1;
+    if (word.load(std::memory_order_relaxed) == 1 &&
+        word.compare_exchange_strong(registered, 0,
+                                     std::memory_order_seq_cst)) {
+      word.notify_one();
+      return;
+    }
   }
 }
 
@@ -103,11 +117,13 @@ void scheduler_base::worker_main(std::size_t id) {
 
   while (!stopping()) {
     mem::epoch::refresh();
-    if (vertex* v = next_vertex(id)) {
-      execute(id, v);
-    } else if (!idle_work(id)) {
-      park(id);
+    vertex* v = next_vertex(id);
+    if (v == nullptr) {
+      obs::span_guard sg(obs::sp_steal);
+      v = steal(id);
     }
+    if (v == nullptr) v = idle(id);
+    if (v != nullptr) execute(id, v);
   }
 }
 
@@ -138,34 +154,85 @@ void scheduler_base::execute(std::size_t id, vertex* v) {
   // every flag false also reads every execution in totals().
   bump(me.stats.executions);
   me.busy.store(false, std::memory_order_release);
-  if (is_final) {
-    std::lock_guard<std::mutex> lock(done_mu_);
-    done_.store(true, std::memory_order_release);
-    done_cv_.notify_all();
-  }
+  if (is_final) wake(done_, 1);
 }
 
-void scheduler_base::park(std::size_t id) {
-  // Out of work: park briefly. The timeout (rather than precise wakeup
-  // accounting) keeps the protocol simple and bounds lost-wakeup cost.
-  // Unpin across the wait — a sleeping worker must not stall the global
-  // epoch — and re-pin on wake, before the loop touches anything pooled.
-  // The shutdown check is an if-guard (not a return) so the unpin/pin
-  // bracket stays balanced; the loop condition re-checks shutdown.
-  mem::epoch::unpin();
-  {
-    std::unique_lock<std::mutex> lock(park_mu_);
-    if (!stopping()) {
-      bump(stats(id).parks);
-      parked_.fetch_add(1, std::memory_order_acq_rel);
-      {
-        obs::span_guard sg(obs::sp_idle);
-        park_cv_.wait_for(lock, park_timeout);
-      }
-      parked_.fetch_sub(1, std::memory_order_acq_rel);
+vertex* scheduler_base::idle(std::size_t id) {
+  // No vertex anywhere: a natural epoch communication point (no stale
+  // pointers are held), so tick the advance machinery first. Then spin:
+  // local work is polled on every call, which is cheap, and the sweeps
+  // that touch other workers' deques back off exponentially, so that a
+  // spinning worker does not slow the busy ones. The spin counts as idle
+  // time in the trace, sweeps included.
+  obs::span_guard sg(obs::sp_idle);
+  mem::epoch::tick();
+  constexpr std::uint32_t max_sweep_gap = 64;  // calls between sweeps
+  std::uint32_t gap = 1;
+  std::uint32_t until_sweep = 1;
+  vertex* v = nullptr;
+  const bool found = spin_until([&] {
+    mem::epoch::refresh();
+    if (stopping()) return true;
+    v = next_vertex(id);
+    if (v == nullptr && --until_sweep == 0) {
+      if (gap < max_sweep_gap) gap *= 2;
+      until_sweep = gap;
+      v = steal(id);
     }
+    return v != nullptr;
+  });
+  return found ? v : park(id);
+}
+
+// Parking without a lost wake-up. A worker blocks only on its own word
+// (row::asleep), and only after three steps: it stores 1 there, increments
+// sleepers_, and then re-checks its sources. An enqueue publishes its
+// vertex and then calls unpark_some(), which reads sleepers_ and, when it
+// is non-zero, moves one registered word from 1 to 0 and notifies it.
+//
+//  * External injection (inject(): run()'s root, the service dispatcher's
+//    roots) bumps the fifo's size with a seq_cst RMW, and unpark_some()
+//    then reads sleepers_ seq_cst. The sleeper bumps sleepers_ seq_cst and
+//    then reads the size seq_cst, and does not block unless it is zero
+//    (a pop can lose the fifo's lock to another worker). This
+//    is Dekker's pattern: in the single order of seq_cst operations one
+//    side comes first, so either the sleeper's probe finds the vertex, or
+//    the injector reads a count that includes the sleeper. In the second
+//    case its scan finds that sleeper's word at 1 (the store of 1 happens
+//    before the count it read) and wakes it, or finds it at 0 because the
+//    worker is already awake: woken for another vertex, or cancelled after
+//    its re-check found work. An awake worker looks at every source again
+//    before it next sleeps, so the vertex runs either way.
+//  * A worker's own push (a deque push from inside execute()) reads
+//    sleepers_ without a fence of its own, so it can miss a sleeper that
+//    is registering at that moment. That costs parallelism, never
+//    progress: an owner never sleeps with a non-empty queue, so it runs
+//    the vertex itself unless a thief takes it first.
+//  * stop() stores shutdown_ seq_cst and then resets every word; the
+//    sleeper reads shutdown_ seq_cst after its registration. Same pattern.
+//
+// A sleeping worker is unpinned, so it never holds back the global epoch;
+// while every worker sleeps, epoch advance comes from trims.
+vertex* scheduler_base::park(std::size_t id) {
+  row& me = rows_[id]->value;
+  on_park(id);
+  me.asleep.store(1, std::memory_order_seq_cst);
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  vertex* v = next_vertex(id);
+  if (v == nullptr) v = steal(id);
+  if (v == nullptr && injected_.size.load(std::memory_order_seq_cst) == 0 &&
+      !shutdown_.load(std::memory_order_seq_cst)) {
+    bump(stats(id).parks);
+    mem::epoch::unpin();
+    me.asleep.wait(1, std::memory_order_seq_cst);
+    mem::epoch::pin();
   }
-  mem::epoch::pin();
+  // Woken (already 0) or cancelling: a waker that now finds 0 moves on to
+  // the next registered worker.
+  me.asleep.store(0, std::memory_order_relaxed);
+  sleepers_.fetch_sub(1, std::memory_order_relaxed);
+  on_wake(id);
+  return v;
 }
 
 void scheduler_base::run(dag_engine& engine, vertex* root, vertex* final_v) {
@@ -175,16 +242,9 @@ void scheduler_base::run(dag_engine& engine, vertex* root, vertex* final_v) {
          "run() may not overlap resident-service mode");
   engine_.store(&engine, std::memory_order_release);
   stop_vertex_.store(final_v, std::memory_order_release);
-  done_.store(false, std::memory_order_release);
-  enqueue(root);
-  {
-    std::lock_guard<std::mutex> lock(park_mu_);
-    park_cv_.notify_all();
-  }
-  {
-    std::unique_lock<std::mutex> lock(done_mu_);
-    done_cv_.wait(lock, [this] { return done_.load(std::memory_order_acquire); });
-  }
+  done_.store(0, std::memory_order_relaxed);
+  enqueue(root);  // an injection: wakes one sleeper, its pushes the rest
+  wait_while(done_, 0);
   // The final vertex ran, but drain vertices (no finish waits on them) may
   // still be queued or running, holding pinned future states, and a worker
   // may still be in the epilogue of a vertex (recycling it). Spin out both
@@ -202,7 +262,7 @@ void scheduler_base::run(dag_engine& engine, vertex* root, vertex* final_v) {
 void scheduler_base::begin_service(dag_engine& engine) {
   assert(&engine.exec() == static_cast<executor*>(this) &&
          "engine must be bound to this scheduler");
-  assert(done_.load(std::memory_order_acquire) &&
+  assert(done_.load(std::memory_order_acquire) == 1 &&
          "begin_service may not overlap run()");
   assert(!service_.load(std::memory_order_acquire) &&
          "begin_service called twice");
@@ -215,8 +275,10 @@ void scheduler_base::end_service() {
          "end_service without begin_service");
   // The caller guarantees no further roots will be injected; spin out
   // whatever is still in flight. Termination: with no external producer,
-  // workers only shrink the queued population, and parked workers re-check
-  // on their timeout.
+  // workers only shrink the queued population, and no queued vertex waits
+  // on a sleeper: an injected one woke a sleeper or is seen by an awake
+  // worker (the argument above park()), and a deque's owner never sleeps
+  // while its deque holds work.
   backoff b;
   while (!service_idle()) b.pause();
   engine_.store(nullptr, std::memory_order_release);

@@ -11,19 +11,24 @@
 // enqueue) plus a blocking run-to-completion entry point.
 //
 // scheduler_base owns everything except how work is found: the worker
-// threads and their epoch-pinned loop, the busy-flag execute bracket,
-// parking, the injection queue for non-worker threads, run() and service
+// threads and their epoch-pinned loop, the busy-flag execute bracket, the
+// idle path, the injection queue for non-worker threads, run() and service
 // mode, and the per-worker counters behind totals(). A scheduler supplies
-// its queues and two hooks: next_vertex() finds a vertex to execute, and
-// idle_work() does something else (a steal) before the worker parks.
+// its queues and two hooks: next_vertex() takes local work (its own queue,
+// then the injection queue) and steal() makes one sweep over the other
+// workers. Two more, on_park()/on_wake(), bracket a worker's sleep.
+//
+// An idle worker spins for spin_bound (util/spin_wait.hpp), re-sweeping
+// with exponential backoff between sweeps, then registers as a sleeper on
+// its own futex word, re-checks, and blocks with no timeout; enqueue wakes
+// one registered sleeper. Why no wake-up is lost is argued once, in
+// scheduler_base.cpp above park().
 //
 // Vertices are the only work: an out-set subtree drain arrives as a vertex
 // like any other (dag_engine::enqueue_drain), and run() and service_idle()
 // read the engine's pending-drain count because no finish waits on one.
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -100,11 +105,15 @@ class scheduler_base : public executor {
   void start();
   void stop();
 
-  // The vertex worker `id` executes next, or null when it has none.
+  // Local work for worker `id`: its own queue, then the injection queue;
+  // null when both are empty. Cheap: the idle spin calls it on every poll.
   virtual vertex* next_vertex(std::size_t id) = 0;
-  // Called when next_vertex() found nothing: do one piece of other work
-  // (a steal) and return whether anything was done; false parks the worker.
-  virtual bool idle_work(std::size_t id) = 0;
+  // One sweep over the other workers; the stolen vertex, or null.
+  virtual vertex* steal(std::size_t id) = 0;
+  // Bracket a worker's sleep (park()): on_park() runs before the worker
+  // registers as a sleeper, on_wake() after it has woken or cancelled.
+  virtual void on_park(std::size_t) {}
+  virtual void on_wake(std::size_t) {}
 
   // Per-worker counters. The owning worker is the only writer, with bump()
   // (util/single_writer.hpp); they stay atomics so totals() can read them
@@ -128,6 +137,7 @@ class scheduler_base : public executor {
   void inject(vertex* v);
   vertex* pop_injected();
 
+  // Wakes one registered sleeper, if any. Every enqueue calls it.
   void unpark_some();
 
  private:
@@ -144,18 +154,22 @@ class scheduler_base : public executor {
     // True while this worker runs execute(); the owner is the only writer.
     // run()'s epilogue and service_idle() scan every flag (see execute()).
     std::atomic<bool> busy{false};
+    // The futex word this worker sleeps on: 1 from its registration as a
+    // sleeper until a waker (or the worker itself, cancelling) stores 0.
+    std::atomic<std::uint32_t> asleep{0};
     counters stats;
   };
 
   void worker_main(std::size_t id);
   void execute(std::size_t id, vertex* v);
-  void park(std::size_t id);
+  // Spins for spin_bound, then parks; returns a vertex found meanwhile, or
+  // null (woken, or stopping) for the loop to look again.
+  vertex* idle(std::size_t id);
+  // Registers as a sleeper, re-checks, and blocks until woken.
+  vertex* park(std::size_t id);
   // True while some worker is inside execute().
   bool any_busy() const;
   scheduler_totals sum_rows() const;
-
-  // Park timeout; bounds the cost of a lost wakeup.
-  static constexpr std::chrono::microseconds park_timeout{500};
 
   const bool pin_threads_;
   std::vector<std::unique_ptr<padded<row>>> rows_;
@@ -165,18 +179,18 @@ class scheduler_base : public executor {
 
   fifo injected_;
 
-  std::mutex park_mu_;
-  std::condition_variable park_cv_;
-  std::atomic<int> parked_{0};
+  // Registered sleepers; unpark_some() scans the rows only when it is
+  // non-zero.
+  std::atomic<std::uint32_t> sleepers_{0};
 
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> service_{false};
   std::atomic<dag_engine*> engine_{nullptr};
   std::atomic<vertex*> stop_vertex_{nullptr};
 
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
-  std::atomic<bool> done_{true};
+  // run()'s caller waits on it (util/spin_wait.hpp); 1 once the final
+  // vertex has run, or outside run().
+  std::atomic<std::uint32_t> done_{1};
 };
 
 }  // namespace spdag

@@ -5,6 +5,7 @@
 #include "mem/epoch.hpp"
 #include "obs/trace.hpp"
 #include "util/backoff.hpp"
+#include "util/spin_wait.hpp"
 
 namespace spdag {
 
@@ -30,7 +31,7 @@ std::uint32_t clamp_us(std::uint64_t ns) noexcept {
 
 bool ticket::wait() {
   if (s_ == nullptr) return false;
-  s_->state.wait(detail::ticket_state::pending, std::memory_order_acquire);
+  wait_while(s_->state, detail::ticket_state::pending);
   return s_->state.load(std::memory_order_acquire) ==
          detail::ticket_state::completed;
 }
@@ -71,16 +72,11 @@ ticket dag_service::submit_body(vertex_body job) {
   detail::ticket_state* head = inbox_.load(std::memory_order_relaxed);
   do {
     t->next = head;
-  } while (!inbox_.compare_exchange_weak(head, t, std::memory_order_release,
+  } while (!inbox_.compare_exchange_weak(head, t, std::memory_order_seq_cst,
                                          std::memory_order_relaxed));
-  if (head == nullptr) {
-    // Only the push that makes the inbox non-empty can find the dispatcher
-    // asleep (it sleeps only after seeing the inbox empty under the mutex).
-    {
-      std::lock_guard<std::mutex> lk(dispatch_mu_);
-    }
-    dispatch_cv_.notify_one();
-  }
+  // Only the push that makes the inbox non-empty can find the dispatcher
+  // asleep: it sleeps only after it has seen the inbox empty.
+  if (head == nullptr) wake_dispatcher();
   return ticket{t};
 }
 
@@ -92,11 +88,16 @@ bool dag_service::admit() {
     if (cap != 0 && cur >= cap) {
       if (cfg_.on_full == admission_policy::reject) return false;
       n_blocked_.fetch_add(1, std::memory_order_relaxed);
-      std::unique_lock<std::mutex> lk(admit_mu_);
-      admit_cv_.wait(lk, [&] {
-        return stop_.load(std::memory_order_acquire) ||
-               inflight_.load(std::memory_order_acquire) < cap;
-      });
+      const auto slot_or_stop = [&] {
+        return stop_.load(std::memory_order_seq_cst) ||
+               inflight_.load(std::memory_order_seq_cst) < cap;
+      };
+      if (!spin_until(slot_or_stop)) {
+        std::unique_lock<std::mutex> lk(admit_mu_);
+        admit_sleepers_.fetch_add(1, std::memory_order_seq_cst);
+        admit_cv_.wait(lk, slot_or_stop);
+        admit_sleepers_.fetch_sub(1, std::memory_order_relaxed);
+      }
       if (stop_.load(std::memory_order_acquire)) return false;
       continue;  // re-run the CAS race for the freed slot
     }
@@ -186,23 +187,29 @@ void dag_service::complete(detail::ticket_state* t) {
   exec_hist_.record(exec_ns);
   obs::emit(obs::ev_submit_complete, 0, clamp_us(sojourn_ns));
   n_completed_.fetch_add(1, std::memory_order_relaxed);
-  inflight_.fetch_sub(1, std::memory_order_acq_rel);
+  inflight_.fetch_sub(1, std::memory_order_seq_cst);
   obs::gauge_add(obs::g_inflight, -1);
-  // The empty critical section pairs the notify with admit_cv_'s predicate
-  // (which reads atomics), closing the missed-wakeup window. The dispatcher
-  // needs no wake: its drain polls and its idle timer runs on its own.
-  {
-    std::lock_guard<std::mutex> lk(admit_mu_);
+  // A blocked submitter counts itself in admit_sleepers_ (seq_cst) before
+  // its predicate reads inflight_ (seq_cst); this decrement precedes the
+  // read of the count. So either the submitter's predicate sees the freed
+  // slot, or this read sees the submitter and notifies, and the empty
+  // critical section orders the notify after its wait began. The
+  // dispatcher needs no wake: its drain polls and its idle timer runs on
+  // its own.
+  if (admit_sleepers_.load(std::memory_order_seq_cst) != 0) {
+    {
+      std::lock_guard<std::mutex> lk(admit_mu_);
+    }
+    admit_cv_.notify_one();
   }
-  admit_cv_.notify_one();
   resolve(t, detail::ticket_state::completed);
 }
 
-void dag_service::resolve(detail::ticket_state* t, int outcome) noexcept {
+void dag_service::resolve(detail::ticket_state* t,
+                          std::uint32_t outcome) noexcept {
   // The service's reference keeps `t` alive across the notify, even if the
   // client wakes and drops its ticket at once.
-  t->state.store(outcome, std::memory_order_release);
-  t->state.notify_all();
+  wake(t->state, outcome);
   release_ref(t);
 }
 
@@ -214,12 +221,14 @@ void dag_service::dispatcher_main() {
   // The dispatcher follows the workers' epoch protocol (src/mem/epoch.hpp):
   // pinned for its whole loop — it dereferences pooled memory through
   // engine::make() and ticket handling — refreshed at the loop top (no
-  // stale pointer survives an iteration), unpinned across its cv waits so
-  // an idle dispatcher never stalls reclamation.
+  // stale pointer survives an iteration, and the spin refreshes too),
+  // unpinned across its sleeps so an idle dispatcher never stalls
+  // reclamation.
   mem::epoch::pin_guard eg;
   for (;;) {
     mem::epoch::refresh();
     if (detail::ticket_state* t = take_inbox()) {
+      trim_settled_ = false;
       while (t != nullptr) {
         // Read the link first: once dispatched, `t` may complete and be
         // freed before dispatch() returns.
@@ -251,25 +260,63 @@ void dag_service::dispatcher_main() {
       mem::epoch::pin();
       continue;
     }
-    // The predicate runs under dispatch_mu_ before the first sleep, so a
-    // push or shutdown that raced the empty take above is seen here or
-    // notifies after we sleep.
+    // Empty inbox: spin, then sleep until a push or shutdown wakes us, or
+    // until the idle timer fires (only while a trim could release
+    // something). Sleep announcements and the re-check after them are
+    // seq_cst, like the push's CAS and wake_dispatcher()'s read, so either
+    // the re-check sees the push or the pusher sees the announcement.
     const auto woken = [this] {
-      return inbox_.load(std::memory_order_relaxed) != nullptr ||
-             stop_.load(std::memory_order_acquire);
+      return inbox_.load(std::memory_order_seq_cst) != nullptr ||
+             stop_.load(std::memory_order_seq_cst);
     };
-    std::unique_lock<std::mutex> lk(dispatch_mu_);
+    const auto refresh_then_woken = [&] {
+      mem::epoch::refresh();
+      return woken();
+    };
+    if (spin_until(refresh_then_woken)) continue;
     mem::epoch::unpin();
     bool idle = false;
-    if (cfg_.idle_trim_after.count() > 0) {
-      // Timed on the cv: atomic::wait has no timeout.
-      idle = !dispatch_cv_.wait_for(lk, cfg_.idle_trim_after, woken);
+    if (cfg_.idle_trim_after.count() > 0 && !trim_settled_) {
+      // Timed, so on the cv: atomic::wait has no timeout.
+      std::unique_lock<std::mutex> lk(dispatch_mu_);
+      dispatcher_sleep_.store(dispatcher_timed, std::memory_order_seq_cst);
+      if (!woken()) {
+        idle = !dispatch_cv_.wait_for(lk, cfg_.idle_trim_after, [this] {
+          return dispatcher_sleep_.load(std::memory_order_relaxed) ==
+                 dispatcher_awake;
+        });
+      }
     } else {
-      dispatch_cv_.wait(lk, woken);
+      dispatcher_sleep_.store(dispatcher_parked, std::memory_order_seq_cst);
+      if (!woken()) {
+        dispatcher_sleep_.wait(dispatcher_parked, std::memory_order_seq_cst);
+      }
     }
+    dispatcher_sleep_.store(dispatcher_awake, std::memory_order_relaxed);
     mem::epoch::pin();
-    lk.unlock();
-    if (idle) try_idle_trim();
+    if (idle) trim_settled_ = try_idle_trim();
+  }
+}
+
+void dag_service::wake_dispatcher() {
+  if (dispatcher_sleep_.load(std::memory_order_seq_cst) == dispatcher_awake) {
+    return;
+  }
+  switch (dispatcher_sleep_.exchange(dispatcher_awake,
+                                     std::memory_order_seq_cst)) {
+    case dispatcher_parked:
+      dispatcher_sleep_.notify_one();
+      break;
+    case dispatcher_timed:
+      // The empty critical section orders the notify after the
+      // dispatcher's wait began (it announced under dispatch_mu_).
+      {
+        std::lock_guard<std::mutex> lk(dispatch_mu_);
+      }
+      dispatch_cv_.notify_one();
+      break;
+    default:
+      break;
   }
 }
 
@@ -288,21 +335,21 @@ void dag_service::maybe_busy_trim() {
   n_slabs_reclaimed_.fetch_add(reclaimed, std::memory_order_relaxed);
 }
 
-void dag_service::try_idle_trim() {
+bool dag_service::try_idle_trim() {
   // Trim safety. A quiescent trim needs no concurrent traffic on the
   // registry's pools, and only two kinds of thread allocate or free cells
   // in them: workers, inside execute() or an offloaded drain, and the
   // dispatcher, through engine::make(). Client threads touch only
-  // tickets_, which no trim releases. The dispatcher is the only thread that injects work, and it
-  // is here: so once nothing is in flight and the workers are seen idle
-  // below, no thread can reach the registry's pools until we return. A
-  // submission that is admitted meanwhile waits in the inbox.
-  if (inflight_.load(std::memory_order_acquire) != 0) return;
-  // Idempotence: skip when nothing was freed since the last trim
-  // (comparing against the post-trim snapshot, not zero — trims leave a
-  // residue of free cells in pinned slabs), but re-arm the moment new
-  // traffic moves the retained count.
-  if (rt_.pools().totals().retained() == trimmed_retained_) return;
+  // tickets_, which no trim releases. The dispatcher is the only thread
+  // that injects work, and it is here: so once nothing is in flight and
+  // the workers are seen idle below, no thread can reach the registry's
+  // pools until we return. A submission that is admitted meanwhile waits
+  // in the inbox.
+  //
+  // Returns true when the pools are settled: quiescent and trimmed, so
+  // nothing can change them before the next dispatch and the dispatcher's
+  // next sleep needs no timer.
+  if (inflight_.load(std::memory_order_acquire) != 0) return false;
   // inflight == 0 means every completion body ran, but the LAST worker may
   // still be in execute()'s epilogue (final vertex not yet recycled, its
   // busy flag not yet cleared). That window is short and shrinking — no new
@@ -316,13 +363,18 @@ void dag_service::try_idle_trim() {
     if (eng.live_vertices() == 0 && sch.service_idle()) break;
     b.pause();
   }
-  if (eng.live_vertices() != 0 || !sch.service_idle()) return;
+  if (eng.live_vertices() != 0 || !sch.service_idle()) return false;
+  // Idempotence: skip when nothing was freed since the last trim
+  // (comparing against the post-trim snapshot, not zero — trims leave a
+  // residue of free cells in pinned slabs), but re-arm the moment new
+  // traffic moves the retained count.
+  if (rt_.pools().totals().retained() == trimmed_retained_) return true;
   std::size_t released = 0;
-  if (eng.try_trim_pools(&released)) {
-    trimmed_retained_ = rt_.pools().totals().retained();
-    n_idle_trims_.fetch_add(1, std::memory_order_relaxed);
-    n_slabs_released_.fetch_add(released, std::memory_order_relaxed);
-  }
+  if (!eng.try_trim_pools(&released)) return false;
+  trimmed_retained_ = rt_.pools().totals().retained();
+  n_idle_trims_.fetch_add(1, std::memory_order_relaxed);
+  n_slabs_released_.fetch_add(released, std::memory_order_relaxed);
+  return true;
 }
 
 void dag_service::shutdown(drain_mode mode) {
@@ -339,16 +391,13 @@ void dag_service::shutdown(drain_mode mode) {
       std::lock_guard<std::mutex> lk(admit_mu_);
     }
     admit_cv_.notify_all();
-    {
-      std::lock_guard<std::mutex> lk(dispatch_mu_);
-    }
-    dispatch_cv_.notify_all();
+    wake_dispatcher();
   }
   std::lock_guard<std::mutex> lk(join_mu_);
   if (dispatcher_.joinable()) dispatcher_.join();
   if (!ended_service_) {
     // Spins until the scheduler is empty of service work, then detaches the
-    // engine; after this the workers are parked until destruction.
+    // engine; after this the workers sleep until destruction.
     rt_.sched().end_service();
     ended_service_ = true;
   }

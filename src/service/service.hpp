@@ -19,8 +19,8 @@
 //     vertex instead carries a completion body that fulfills its ticket.
 //   * an intrusive inbox: client threads push their ticket_state onto one
 //     atomic list head with a single CAS (the ticket's own `next` link is
-//     the node), and only a push that finds the inbox empty wakes the
-//     dispatcher. max_inflight already bounds the list's length.
+//     the node), and only a push that finds the inbox empty can have a
+//     dispatcher to wake. max_inflight already bounds the list's length.
 //   * a dispatcher thread that takes the whole inbox with one exchange,
 //     reverses it into arrival order, builds each (root, final) pair via
 //     dag_engine::make(), and feeds roots to the scheduler's external
@@ -33,6 +33,14 @@
 //   * bounded admission: at most max_inflight submissions between admit and
 //     complete; past the cap submit() blocks (default) or rejects, per
 //     admission_policy. Both outcomes are visible in stats().
+//   * every wait spins for spin_bound before it sleeps (util/spin_wait.hpp):
+//     the dispatcher's wait for an empty inbox to fill, a blocked
+//     submitter's wait for a slot, and ticket::wait(). At moderate rates a
+//     submission therefore crosses no futex wake-up at all: the dispatcher
+//     and an idle worker are still spinning when it arrives, and the
+//     client's wait ends within the spin. A sleeping dispatcher blocks on a
+//     futex word, or, while an idle trim is due, on dispatch_cv_ with the
+//     trim's timeout.
 //   * an idle timer: when the service has been quiet for idle_trim_after,
 //     the dispatcher re-verifies quiescence and calls
 //     dag_engine::try_trim_pools() — so slab memory retained by a burst
@@ -125,13 +133,14 @@ namespace detail {
 // the service (held until the completion or rejection path has fulfilled
 // it).
 struct ticket_state {
-  enum : int { pending, completed, rejected };
+  enum : std::uint32_t { pending, completed, rejected };
 
   dag_service* svc = nullptr;
   ticket_state* next = nullptr;  // inbox link; published by the push's CAS
   vertex_body job;               // moved into the root vertex at dispatch
   std::atomic<int> refs{2};
-  std::atomic<int> state{pending};  // clients wait() on it; set once
+  // Clients wait() on it (util/spin_wait.hpp); set once.
+  std::atomic<std::uint32_t> state{pending};
   std::chrono::steady_clock::time_point submit_tp;
   std::chrono::steady_clock::time_point dispatch_tp;
 };
@@ -228,9 +237,10 @@ class dag_service {
   void dispatch(detail::ticket_state* t);
   void reject_queued(detail::ticket_state* t);
   void complete(detail::ticket_state* t);
-  void resolve(detail::ticket_state* t, int outcome) noexcept;
+  void resolve(detail::ticket_state* t, std::uint32_t outcome) noexcept;
   void dispatcher_main();
-  void try_idle_trim();
+  void wake_dispatcher();
+  bool try_idle_trim();
   void maybe_busy_trim();
   void release_ref(detail::ticket_state* t) noexcept;
 
@@ -242,19 +252,31 @@ class dag_service {
   // Submitted tickets, newest first (see the file comment).
   std::atomic<detail::ticket_state*> inbox_{nullptr};
 
-  // Admission. inflight_ is the only gate state; the mutex/cv pair exists
-  // so blocked submitters can sleep (completions notify after decrement).
+  // Admission. inflight_ is the only gate state. A blocked submitter spins,
+  // then sleeps on admit_cv_ counted in admit_sleepers_; a completion
+  // notifies only when that count is non-zero (the argument is in
+  // complete()).
   std::atomic<std::size_t> inflight_{0};
   std::atomic<std::size_t> peak_inflight_{0};
   std::mutex admit_mu_;
   std::condition_variable admit_cv_;
+  std::atomic<std::uint32_t> admit_sleepers_{0};
 
-  // Dispatcher parking + idle timer. A push that finds the inbox empty and
-  // shutdown() notify under dispatch_mu_; the dispatcher re-checks both
-  // under it before sleeping, so no wakeup is lost.
+  // How the dispatcher sleeps, as wake_dispatcher() reads it: not at all,
+  // on this word (futex), or in the idle trim's timed wait on dispatch_cv_.
+  // (The drain poll after shutdown waits on dispatch_cv_ unannounced.)
+  enum : std::uint32_t {
+    dispatcher_awake,
+    dispatcher_parked,
+    dispatcher_timed,
+  };
+  std::atomic<std::uint32_t> dispatcher_sleep_{dispatcher_awake};
   std::mutex dispatch_mu_;
   std::condition_variable dispatch_cv_;
   std::thread dispatcher_;
+  // True once try_idle_trim() found the pools settled and nothing has been
+  // dispatched since: the next sleep needs no timer. Dispatcher-private.
+  bool trim_settled_ = false;
   // retained() observed right after the last idle trim; the timer re-arms
   // only when the registry's retained count moves off this value (a trim
   // can leave a residue — free cells in slabs pinned by live neighbors —

@@ -1,11 +1,13 @@
 #pragma once
-// Lock-free log-scale latency histogram.
+// Lock-free log-linear latency histogram.
 //
-// 64 power-of-two nanosecond bins, bumped with relaxed atomics, so it can
-// sit on a measurement path shared by many workers without itself becoming
-// a contention source. Percentile queries are approximate (bin-granular),
-// which is exactly enough to see contention: contended CAS loops show up as
-// a fat tail several bins to the right of the uncontended mode.
+// Nanosecond bins bumped with relaxed atomics, so it can sit on a
+// measurement path shared by many workers without itself becoming a
+// contention source. Below 16 ns every value has its own bin; above, each
+// power-of-two octave is split into 8 equal sub-bins, so a bin's width is
+// at most 1/8 of its lower edge and a percentile (a bin's upper edge)
+// overstates the true value by at most 12.5%. Bins are inclusive of their
+// upper edge: powers of two are upper edges.
 
 #include <atomic>
 #include <cstdint>
@@ -15,7 +17,9 @@ namespace spdag {
 
 class latency_histogram {
  public:
-  static constexpr int bin_count = 64;
+  static constexpr int sub_bins = 8;  // per octave
+  // Exact bins 0..15, then 8 per octave up to 2^64.
+  static constexpr int bin_count = sub_bins * 62;
 
   void record(std::uint64_t ns) noexcept {
     bins_[bin_for(ns)].fetch_add(1, std::memory_order_relaxed);
@@ -45,9 +49,11 @@ class latency_histogram {
     if (total == 0) return 0;
     double acc = 0;
     for (int i = 0; i < bin_count; ++i) {
-      // Midpoint of the bin as the representative value.
-      const double mid = i == 0 ? 0.5
-                                : 1.5 * static_cast<double>(1ULL << (i - 1));
+      // Midpoint of the bin's values, (lower edge, upper edge].
+      const double lo =
+          i == 0 ? 0.0 : static_cast<double>(bin_upper_ns(i - 1));
+      const double hi = static_cast<double>(bin_upper_ns(i));
+      const double mid = 0.5 * (lo + 1.0 + hi);
       acc += mid * static_cast<double>(bins_[i].load(std::memory_order_relaxed));
     }
     return acc / static_cast<double>(total);
@@ -74,14 +80,25 @@ class latency_histogram {
     return "<=" + std::to_string(bin_upper_ns(i)) + "ns";
   }
 
- private:
-  static int bin_for(std::uint64_t ns) noexcept {
-    if (ns <= 1) return 0;
-    const int bit = 64 - __builtin_clzll(ns - 1);  // ceil(log2(ns))
-    return bit >= bin_count ? bin_count - 1 : bit;
-  }
+  // Upper edge (inclusive, in ns) of bin i.
   static constexpr std::uint64_t bin_upper_ns(int i) noexcept {
-    return i >= 63 ? ~0ULL : (1ULL << i);
+    if (i >= bin_count - 1) return ~0ULL;
+    if (i < 2 * sub_bins) return static_cast<std::uint64_t>(i) + 1;
+    const int octave = i / sub_bins + 2;  // bins of [2^octave, 2^(octave+1))
+    const std::uint64_t sub = static_cast<std::uint64_t>(i % sub_bins);
+    return (sub_bins + sub + 1) << (octave - 3);
+  }
+
+ private:
+  // Bin of ns, through v = ns - 1 so that upper edges are inclusive: v
+  // below 16 is its own bin; otherwise the octave of v (its top bit) picks
+  // a row of 8 and the next three bits pick the sub-bin.
+  static constexpr int bin_for(std::uint64_t ns) noexcept {
+    const std::uint64_t v = ns == 0 ? 0 : ns - 1;
+    if (v < 2 * sub_bins) return static_cast<int>(v);
+    const int octave = 63 - __builtin_clzll(v);
+    const int sub = static_cast<int>((v >> (octave - 3)) & (sub_bins - 1));
+    return sub_bins * (octave - 2) + sub;
   }
 
   std::atomic<std::uint64_t> bins_[bin_count] = {};

@@ -24,10 +24,46 @@ TEST(Histogram, EmptyIsZero) {
 
 TEST(Histogram, SingleSampleLandsInRightBin) {
   latency_histogram h;
-  h.record(100);  // (64, 128] -> upper bound 128
+  h.record(100);  // octave (64, 128] in eighths of 8: (96, 104] -> 104
   EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.percentile_ns(0.5), 128u);
-  EXPECT_EQ(h.percentile_ns(1.0), 128u);
+  EXPECT_EQ(h.percentile_ns(0.5), 104u);
+  EXPECT_EQ(h.percentile_ns(1.0), 104u);
+}
+
+TEST(Histogram, SmallValuesAreExact) {
+  for (std::uint64_t v = 1; v <= 16; ++v) {
+    latency_histogram h;
+    h.record(v);
+    EXPECT_EQ(h.percentile_ns(1.0), v);
+  }
+}
+
+TEST(Histogram, BinEdgesSplitEachOctaveInEight) {
+  EXPECT_EQ(latency_histogram::bin_upper_ns(15), 16u);
+  EXPECT_EQ(latency_histogram::bin_upper_ns(16), 18u);
+  EXPECT_EQ(latency_histogram::bin_upper_ns(23), 32u);
+  EXPECT_EQ(latency_histogram::bin_upper_ns(24), 36u);
+  EXPECT_EQ(latency_histogram::bin_upper_ns(31), 64u);
+  EXPECT_EQ(latency_histogram::bin_upper_ns(32), 72u);
+  // 16.78 ms (2^24 ns) and the next edge, 2^24 + 2^21.
+  latency_histogram h;
+  h.record(1ULL << 24);
+  EXPECT_EQ(h.percentile_ns(1.0), 1ULL << 24);
+  h.reset();
+  h.record((1ULL << 24) + 1);
+  EXPECT_EQ(h.percentile_ns(1.0), (1ULL << 24) + (1ULL << 21));
+}
+
+TEST(Histogram, SamplesTwentyPercentApartLandInDifferentBins) {
+  // Each bin is at most 1/8 of its lower edge wide, so no bin holds two
+  // values 20% apart: the percentile tells 1.0 ms from 1.2 ms.
+  for (std::uint64_t v = 5; v < (1ULL << 40); v += v / 3 + 1) {
+    latency_histogram a, b;
+    a.record(v);
+    b.record(v + v / 5);
+    EXPECT_LT(a.percentile_ns(1.0), b.percentile_ns(1.0)) << v;
+    EXPECT_LE(a.percentile_ns(1.0), v + v / 8 + 1) << "over 12.5% at " << v;
+  }
 }
 
 TEST(Histogram, PowersOfTwoAreInclusiveUpperBounds) {
@@ -51,8 +87,8 @@ TEST(Histogram, TailSeparatesFromMode) {
   latency_histogram h;
   for (int i = 0; i < 990; ++i) h.record(50);
   for (int i = 0; i < 10; ++i) h.record(100000);
-  EXPECT_EQ(h.percentile_ns(0.5), 64u);
-  EXPECT_GE(h.percentile_ns(0.999), 65536u);
+  EXPECT_EQ(h.percentile_ns(0.5), 52u);        // (48, 52]
+  EXPECT_EQ(h.percentile_ns(0.999), 106496u);  // (98304, 106496]
 }
 
 TEST(Histogram, MergeAddsCounts) {
