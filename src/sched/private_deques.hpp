@@ -17,7 +17,9 @@
 //     which is what makes thief-thief encounters deadlock-free;
 //   * a worker about to sleep closes its request cell, declining a request
 //     already there, and reopens it on waking: a thief's CAS then fails at
-//     once instead of waiting for an answer from a sleeper.
+//     once instead of waiting for an answer from a sleeper. Its re-check
+//     after registering as a sleeper is local only (no last_look()): a
+//     request to a busy victim waits for that victim's next poll.
 //
 // The trade: task execution pays zero synchronization on the deque, at the
 // cost of steal latency bounded by the victim's polling interval.

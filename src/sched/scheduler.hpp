@@ -39,8 +39,13 @@ class scheduler final : public scheduler_base {
 
   // Own deque, then the injection queue.
   vertex* next_vertex(std::size_t id) override;
+  // One steal attempt on `victim`'s deque, counted and traced.
+  vertex* steal_from(std::size_t id, std::size_t victim);
   // 2n steal attempts on uniformly random victims.
   vertex* steal(std::size_t id) override;
+  // One steal attempt on every other deque, from a random start: unlike
+  // the random draws of steal(), it misses no victim.
+  vertex* last_look(std::size_t id) override;
 
   std::vector<std::unique_ptr<padded<worker>>> workers_;
 };

@@ -30,18 +30,25 @@ void scheduler_base::fifo::push(vertex* v) {
 }
 
 vertex* scheduler_base::fifo::pop() {
-  if (size.load(std::memory_order_seq_cst) == 0) return nullptr;
   // Every spinning worker probes the size, so several can see one vertex
-  // at once. One takes the lock and the rest move on: queueing on a
-  // contended std::mutex would put them to sleep, and make the winner's
-  // unlock pay a futex wake before it runs the vertex. A worker that moves
-  // on does not sleep on it (park() re-reads the size).
-  std::unique_lock<std::mutex> lock(mu, std::try_to_lock);
-  if (!lock.owns_lock() || items.empty()) return nullptr;
-  vertex* v = items.front();
-  items.pop_front();
-  size.fetch_sub(1, std::memory_order_release);
-  return v;
+  // at once. They retry try_lock while the fifo is non-empty: queueing on
+  // a contended std::mutex would put the losers to sleep, and make the
+  // winner's unlock pay a futex wake before it runs the vertex. A pop
+  // returns null only once it has seen the fifo empty, so a worker woken
+  // for an injected vertex cannot pass it by and go stealing instead
+  // (under private, a steal request can wait out a whole vertex).
+  while (size.load(std::memory_order_seq_cst) != 0) {
+    std::unique_lock<std::mutex> lock(mu, std::try_to_lock);
+    if (lock.owns_lock()) {
+      if (items.empty()) return nullptr;
+      vertex* v = items.front();
+      items.pop_front();
+      size.fetch_sub(1, std::memory_order_release);
+      return v;
+    }
+    cpu_relax();
+  }
+  return nullptr;
 }
 
 scheduler_base::scheduler_base(scheduler_config cfg)
@@ -186,28 +193,35 @@ vertex* scheduler_base::idle(std::size_t id) {
 
 // Parking without a lost wake-up. A worker blocks only on its own word
 // (row::asleep), and only after three steps: it stores 1 there, increments
-// sleepers_, and then re-checks its sources. An enqueue publishes its
-// vertex and then calls unpark_some(), which reads sleepers_ and, when it
-// is non-zero, moves one registered word from 1 to 0 and notifies it.
+// sleepers_, and then re-checks its sources without waiting on anyone (a
+// waker may already count on it). An enqueue publishes its vertex and then
+// calls unpark_some(), which reads sleepers_ and, when it is non-zero,
+// moves one registered word from 1 to 0 and notifies it.
 //
 //  * External injection (inject(): run()'s root, the service dispatcher's
 //    roots) bumps the fifo's size with a seq_cst RMW, and unpark_some()
 //    then reads sleepers_ seq_cst. The sleeper bumps sleepers_ seq_cst and
-//    then reads the size seq_cst, and does not block unless it is zero
-//    (a pop can lose the fifo's lock to another worker). This
-//    is Dekker's pattern: in the single order of seq_cst operations one
-//    side comes first, so either the sleeper's probe finds the vertex, or
-//    the injector reads a count that includes the sleeper. In the second
-//    case its scan finds that sleeper's word at 1 (the store of 1 happens
-//    before the count it read) and wakes it, or finds it at 0 because the
-//    worker is already awake: woken for another vertex, or cancelled after
-//    its re-check found work. An awake worker looks at every source again
-//    before it next sleeps, so the vertex runs either way.
+//    then reads the size seq_cst, and does not block unless it is zero.
+//    This is Dekker's pattern: in the single order of seq_cst operations
+//    one side comes first, so either the sleeper's probe finds the vertex,
+//    or the injector reads a count that includes the sleeper. In the
+//    second case its scan finds that sleeper's word at 1 (the store of 1
+//    happens before the count it read) and wakes it, or finds it at 0
+//    because the worker is already awake: woken for another vertex, or
+//    cancelled after its re-check found work. A woken worker pops the fifo
+//    before it looks anywhere else, and a pop gives up only on an empty
+//    fifo. A worker that cancels finds out whether a waker took its word
+//    meanwhile, and if so passes that wake on to the next registered
+//    sleeper, since it may run something else for a long time before it
+//    looks at the fifo again.
 //  * A worker's own push (a deque push from inside execute()) reads
 //    sleepers_ without a fence of its own, so it can miss a sleeper that
 //    is registering at that moment. That costs parallelism, never
 //    progress: an owner never sleeps with a non-empty queue, so it runs
-//    the vertex itself unless a thief takes it first.
+//    the vertex itself unless a thief takes it first. The re-check needs
+//    only local work and the fifo; last_look() narrows the window (ws
+//    tries every other deque once), and private skips it, because a steal
+//    request to a busy victim waits for that victim's next poll.
 //  * stop() stores shutdown_ seq_cst and then resets every word; the
 //    sleeper reads shutdown_ seq_cst after its registration. Same pattern.
 //
@@ -219,18 +233,20 @@ vertex* scheduler_base::park(std::size_t id) {
   me.asleep.store(1, std::memory_order_seq_cst);
   sleepers_.fetch_add(1, std::memory_order_seq_cst);
   vertex* v = next_vertex(id);
-  if (v == nullptr) v = steal(id);
+  if (v == nullptr) v = last_look(id);
+  bool pass_on = false;
   if (v == nullptr && injected_.size.load(std::memory_order_seq_cst) == 0 &&
       !shutdown_.load(std::memory_order_seq_cst)) {
     bump(stats(id).parks);
     mem::epoch::unpin();
-    me.asleep.wait(1, std::memory_order_seq_cst);
+    me.asleep.wait(1, std::memory_order_seq_cst);  // returns at 0
     mem::epoch::pin();
+  } else {
+    // Cancelling. A word already at 0 means a waker chose this worker.
+    pass_on = me.asleep.exchange(0, std::memory_order_relaxed) == 0;
   }
-  // Woken (already 0) or cancelling: a waker that now finds 0 moves on to
-  // the next registered worker.
-  me.asleep.store(0, std::memory_order_relaxed);
   sleepers_.fetch_sub(1, std::memory_order_relaxed);
+  if (pass_on) unpark_some();
   on_wake(id);
   return v;
 }

@@ -16,13 +16,15 @@
 // mode, and the per-worker counters behind totals(). A scheduler supplies
 // its queues and two hooks: next_vertex() takes local work (its own queue,
 // then the injection queue) and steal() makes one sweep over the other
-// workers. Two more, on_park()/on_wake(), bracket a worker's sleep.
+// workers. Three more serve a worker's sleep: last_look() is its final
+// non-blocking look at the other workers, and on_park()/on_wake() bracket
+// the sleep.
 //
 // An idle worker spins for spin_bound (util/spin_wait.hpp), re-sweeping
 // with exponential backoff between sweeps, then registers as a sleeper on
-// its own futex word, re-checks, and blocks with no timeout; enqueue wakes
-// one registered sleeper. Why no wake-up is lost is argued once, in
-// scheduler_base.cpp above park().
+// its own futex word, re-checks without blocking, and blocks with no
+// timeout; enqueue wakes one registered sleeper. Why no wake-up is lost is
+// argued once, in scheduler_base.cpp above park().
 //
 // Vertices are the only work: an out-set subtree drain arrives as a vertex
 // like any other (dag_engine::enqueue_drain), and run() and service_idle()
@@ -110,6 +112,10 @@ class scheduler_base : public executor {
   virtual vertex* next_vertex(std::size_t id) = 0;
   // One sweep over the other workers; the stolen vertex, or null.
   virtual vertex* steal(std::size_t id) = 0;
+  // The re-check of a registered sleeper (park()) after next_vertex(): it
+  // must not wait on another worker, since a waker may already count on
+  // this one. Looks nowhere by default.
+  virtual vertex* last_look(std::size_t) { return nullptr; }
   // Bracket a worker's sleep (park()): on_park() runs before the worker
   // registers as a sleeper, on_wake() after it has woken or cancelled.
   virtual void on_park(std::size_t) {}
@@ -165,7 +171,8 @@ class scheduler_base : public executor {
   // Spins for spin_bound, then parks; returns a vertex found meanwhile, or
   // null (woken, or stopping) for the loop to look again.
   vertex* idle(std::size_t id);
-  // Registers as a sleeper, re-checks, and blocks until woken.
+  // Registers as a sleeper, re-checks, and blocks until woken; returns a
+  // vertex the re-check found, or null.
   vertex* park(std::size_t id);
   // True while some worker is inside execute().
   bool any_busy() const;

@@ -89,14 +89,12 @@ bool dag_service::admit() {
       if (cfg_.on_full == admission_policy::reject) return false;
       n_blocked_.fetch_add(1, std::memory_order_relaxed);
       const auto slot_or_stop = [&] {
-        return stop_.load(std::memory_order_seq_cst) ||
-               inflight_.load(std::memory_order_seq_cst) < cap;
+        return stop_.load(std::memory_order_acquire) ||
+               inflight_.load(std::memory_order_acquire) < cap;
       };
       if (!spin_until(slot_or_stop)) {
         std::unique_lock<std::mutex> lk(admit_mu_);
-        admit_sleepers_.fetch_add(1, std::memory_order_seq_cst);
         admit_cv_.wait(lk, slot_or_stop);
-        admit_sleepers_.fetch_sub(1, std::memory_order_relaxed);
       }
       if (stop_.load(std::memory_order_acquire)) return false;
       continue;  // re-run the CAS race for the freed slot
@@ -187,21 +185,15 @@ void dag_service::complete(detail::ticket_state* t) {
   exec_hist_.record(exec_ns);
   obs::emit(obs::ev_submit_complete, 0, clamp_us(sojourn_ns));
   n_completed_.fetch_add(1, std::memory_order_relaxed);
-  inflight_.fetch_sub(1, std::memory_order_seq_cst);
+  inflight_.fetch_sub(1, std::memory_order_acq_rel);
   obs::gauge_add(obs::g_inflight, -1);
-  // A blocked submitter counts itself in admit_sleepers_ (seq_cst) before
-  // its predicate reads inflight_ (seq_cst); this decrement precedes the
-  // read of the count. So either the submitter's predicate sees the freed
-  // slot, or this read sees the submitter and notifies, and the empty
-  // critical section orders the notify after its wait began. The
-  // dispatcher needs no wake: its drain polls and its idle timer runs on
-  // its own.
-  if (admit_sleepers_.load(std::memory_order_seq_cst) != 0) {
-    {
-      std::lock_guard<std::mutex> lk(admit_mu_);
-    }
-    admit_cv_.notify_one();
+  // The empty critical section pairs the notify with admit_cv_'s predicate
+  // (which reads atomics), closing the missed-wakeup window. The dispatcher
+  // needs no wake: its drain polls and its idle timer runs on its own.
+  {
+    std::lock_guard<std::mutex> lk(admit_mu_);
   }
+  admit_cv_.notify_one();
   resolve(t, detail::ticket_state::completed);
 }
 
@@ -262,9 +254,11 @@ void dag_service::dispatcher_main() {
     }
     // Empty inbox: spin, then sleep until a push or shutdown wakes us, or
     // until the idle timer fires (only while a trim could release
-    // something). Sleep announcements and the re-check after them are
-    // seq_cst, like the push's CAS and wake_dispatcher()'s read, so either
-    // the re-check sees the push or the pusher sees the announcement.
+    // something). The sleep is announced in dispatcher_asleep_ under
+    // dispatch_mu_ and the inbox re-checked after it; the announcement and
+    // the re-check are seq_cst, like the push's CAS and wake_dispatcher()'s
+    // read, so either the re-check sees the push or the pusher sees the
+    // announcement.
     const auto woken = [this] {
       return inbox_.load(std::memory_order_seq_cst) != nullptr ||
              stop_.load(std::memory_order_seq_cst);
@@ -276,48 +270,37 @@ void dag_service::dispatcher_main() {
     if (spin_until(refresh_then_woken)) continue;
     mem::epoch::unpin();
     bool idle = false;
-    if (cfg_.idle_trim_after.count() > 0 && !trim_settled_) {
-      // Timed, so on the cv: atomic::wait has no timeout.
+    {
       std::unique_lock<std::mutex> lk(dispatch_mu_);
-      dispatcher_sleep_.store(dispatcher_timed, std::memory_order_seq_cst);
+      dispatcher_asleep_.store(true, std::memory_order_seq_cst);
       if (!woken()) {
-        idle = !dispatch_cv_.wait_for(lk, cfg_.idle_trim_after, [this] {
-          return dispatcher_sleep_.load(std::memory_order_relaxed) ==
-                 dispatcher_awake;
-        });
+        const auto called = [this] {
+          return !dispatcher_asleep_.load(std::memory_order_relaxed);
+        };
+        if (cfg_.idle_trim_after.count() > 0 && !trim_settled_) {
+          idle = !dispatch_cv_.wait_for(lk, cfg_.idle_trim_after, called);
+        } else {
+          dispatch_cv_.wait(lk, called);
+        }
       }
-    } else {
-      dispatcher_sleep_.store(dispatcher_parked, std::memory_order_seq_cst);
-      if (!woken()) {
-        dispatcher_sleep_.wait(dispatcher_parked, std::memory_order_seq_cst);
-      }
+      dispatcher_asleep_.store(false, std::memory_order_relaxed);
     }
-    dispatcher_sleep_.store(dispatcher_awake, std::memory_order_relaxed);
     mem::epoch::pin();
     if (idle) trim_settled_ = try_idle_trim();
   }
 }
 
 void dag_service::wake_dispatcher() {
-  if (dispatcher_sleep_.load(std::memory_order_seq_cst) == dispatcher_awake) {
+  if (!dispatcher_asleep_.load(std::memory_order_seq_cst) ||
+      !dispatcher_asleep_.exchange(false, std::memory_order_seq_cst)) {
     return;
   }
-  switch (dispatcher_sleep_.exchange(dispatcher_awake,
-                                     std::memory_order_seq_cst)) {
-    case dispatcher_parked:
-      dispatcher_sleep_.notify_one();
-      break;
-    case dispatcher_timed:
-      // The empty critical section orders the notify after the
-      // dispatcher's wait began (it announced under dispatch_mu_).
-      {
-        std::lock_guard<std::mutex> lk(dispatch_mu_);
-      }
-      dispatch_cv_.notify_one();
-      break;
-    default:
-      break;
+  // The empty critical section orders the notify after the dispatcher's
+  // wait began (it announced under dispatch_mu_).
+  {
+    std::lock_guard<std::mutex> lk(dispatch_mu_);
   }
+  dispatch_cv_.notify_one();
 }
 
 void dag_service::maybe_busy_trim() {

@@ -38,9 +38,9 @@
 //     submitter's wait for a slot, and ticket::wait(). At moderate rates a
 //     submission therefore crosses no futex wake-up at all: the dispatcher
 //     and an idle worker are still spinning when it arrives, and the
-//     client's wait ends within the spin. A sleeping dispatcher blocks on a
-//     futex word, or, while an idle trim is due, on dispatch_cv_ with the
-//     trim's timeout.
+//     client's wait ends within the spin. A sleeping dispatcher waits on
+//     dispatch_cv_, with the idle trim's timeout while a trim is due, and
+//     a blocked submitter on admit_cv_.
 //   * an idle timer: when the service has been quiet for idle_trim_after,
 //     the dispatcher re-verifies quiescence and calls
 //     dag_engine::try_trim_pools() — so slab memory retained by a burst
@@ -252,25 +252,17 @@ class dag_service {
   // Submitted tickets, newest first (see the file comment).
   std::atomic<detail::ticket_state*> inbox_{nullptr};
 
-  // Admission. inflight_ is the only gate state. A blocked submitter spins,
-  // then sleeps on admit_cv_ counted in admit_sleepers_; a completion
-  // notifies only when that count is non-zero (the argument is in
-  // complete()).
+  // Admission. inflight_ is the only gate state; a blocked submitter
+  // spins, then sleeps on admit_cv_, which every completion notifies.
   std::atomic<std::size_t> inflight_{0};
   std::atomic<std::size_t> peak_inflight_{0};
   std::mutex admit_mu_;
   std::condition_variable admit_cv_;
-  std::atomic<std::uint32_t> admit_sleepers_{0};
 
-  // How the dispatcher sleeps, as wake_dispatcher() reads it: not at all,
-  // on this word (futex), or in the idle trim's timed wait on dispatch_cv_.
-  // (The drain poll after shutdown waits on dispatch_cv_ unannounced.)
-  enum : std::uint32_t {
-    dispatcher_awake,
-    dispatcher_parked,
-    dispatcher_timed,
-  };
-  std::atomic<std::uint32_t> dispatcher_sleep_{dispatcher_awake};
+  // True while the dispatcher sleeps on dispatch_cv_ (announced under
+  // dispatch_mu_); wake_dispatcher() clears it and notifies. The drain
+  // poll after shutdown waits on dispatch_cv_ unannounced.
+  std::atomic<bool> dispatcher_asleep_{false};
   std::mutex dispatch_mu_;
   std::condition_variable dispatch_cv_;
   std::thread dispatcher_;

@@ -1,14 +1,20 @@
 #pragma once
-// Spin briefly, then block precisely: the one wait of every idle thread in
-// the runtime (workers, run()'s caller, the service's dispatcher, blocked
-// submitters and ticket waiters).
+// Spin briefly, then block precisely. Every idle thread in the runtime
+// (workers, run()'s caller, the service's dispatcher, blocked submitters
+// and ticket waiters) first polls its condition with spin_until for
+// spin_bound. A wait that ends within the bound never pays a sleep, and
+// one that does not costs at most spin_bound of CPU before the thread
+// blocks.
 //
-// A waiter first polls its condition for spin_bound. A wait that ends
-// within the bound never pays a sleep, and one that does not costs at most
-// spin_bound of CPU before the thread blocks. The blocking half is a 32-bit
-// futex word (C++20 atomic::wait) that the waker changes and then notifies.
-// No wait has a timeout, so each caller argues that its waker cannot miss
-// a sleeper; the argument for workers is in scheduler_base.cpp.
+// wait_while() adds the blocking half on a 32-bit futex word (C++20
+// atomic::wait) that the waker changes and then notifies: run()'s caller
+// and ticket waiters use it, and an idle worker blocks on its own word the
+// same way (scheduler_base::park()). No such wait has a timeout, so each
+// caller argues that its waker cannot miss a sleeper; the argument for
+// workers is in scheduler_base.cpp. The service's dispatcher and blocked
+// submitters block on condition variables after the spin instead: the
+// dispatcher's sleep may need the idle trim's timeout, and admission waits
+// on a predicate over two atomics.
 
 #include <atomic>
 #include <chrono>

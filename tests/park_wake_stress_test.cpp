@@ -6,7 +6,8 @@
 // blocks and some timed to land as the workers' spins run out, and a
 // resident service whose clients submit
 // bursts separated by such pauses (dispatcher, admission and ticket waits),
-// plus construct/submit/shutdown cycles.
+// plus construct/submit/shutdown cycles, and roots injected while one
+// worker runs a long vertex (a wake must reach a worker that can run them).
 
 #include <gtest/gtest.h>
 
@@ -231,6 +232,63 @@ TEST_P(ServiceParkWake, ConstructSubmitShutdownCycles) {
   EXPECT_EQ(leaves.load(), completed);
   EXPECT_EQ(completed, 800u);
 }
+
+// Four workers; one runs a long vertex while the dispatcher injects roots
+// beside it, and each root must run on another worker. Under private one
+// idle worker can wait out the whole long vertex in a steal request to it,
+// so a wake must reach a worker that looks at the injection queue first:
+// a woken worker that passed an injected root by (a pop that lost the
+// queue's lock) and went stealing stranded the root about once in 250
+// rounds. The long vertex starts as the other workers' spins run out
+// (swept in 125 ns steps, as in RunParkWake), so some of them are
+// registering as sleepers just then. A stranded root would wait for the
+// long vertex, which gives up after `patience`: the test fails instead of
+// hanging.
+class LongVertexParkWake : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(LongVertexParkWake, RootsInjectedBesideItRunElsewhere) {
+  constexpr int kRounds = 1000;
+  constexpr int kRoots = 4;
+  constexpr auto patience = std::chrono::seconds(5);
+  service_config cfg;
+  cfg.rt.workers = 4;
+  cfg.rt.sched = GetParam();
+  dag_service svc(cfg);
+  for (int r = 0; r < kRounds; ++r) {
+    // Every worker may take part, then all of them spin out together.
+    ASSERT_TRUE(svc.submit([] {
+                     fork2([] { fork2([] {}, [] {}); },
+                           [] { fork2([] {}, [] {}); });
+                   }).wait());
+    spin_for(spin_bound - std::chrono::microseconds(4) +
+             std::chrono::nanoseconds(125 * (r % 64)));
+    std::atomic<int> ran{0};
+    std::atomic<bool> gave_up{false};
+    ticket long_job = svc.submit([&ran, &gave_up, patience] {
+      const auto until = std::chrono::steady_clock::now() + patience;
+      while (ran.load() < kRoots) {
+        if (std::chrono::steady_clock::now() >= until) {
+          gave_up.store(true);
+          return;
+        }
+      }
+    });
+    for (int i = 0; i < kRoots; ++i) {
+      // Half of the roots find every idle worker blocked.
+      if (i % 2 == 1) std::this_thread::sleep_for(past_spin);
+      ASSERT_TRUE(svc.submit([&ran] { ran.fetch_add(1); }).wait());
+    }
+    ASSERT_TRUE(long_job.wait());
+    ASSERT_FALSE(gave_up.load())
+        << "round " << r << ": a root waited for the long vertex";
+  }
+  svc.shutdown();
+  EXPECT_EQ(svc.stats().completed, 2u * kRounds + kRounds * kRoots);
+  EXPECT_EQ(svc.rt().engine().live_vertices(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedulers, LongVertexParkWake,
+                         ::testing::Values("ws", "private"));
 
 INSTANTIATE_TEST_SUITE_P(
     SchedulersByIdleTrim, ServiceParkWake,
