@@ -236,14 +236,12 @@ TEST_P(ServiceParkWake, ConstructSubmitShutdownCycles) {
 // Four workers; one runs a long vertex while the dispatcher injects roots
 // beside it, and each root must run on another worker. Under private one
 // idle worker can wait out the whole long vertex in a steal request to it,
-// so a wake must reach a worker that looks at the injection queue first:
-// a woken worker that passed an injected root by (a pop that lost the
-// queue's lock) and went stealing stranded the root about once in 250
-// rounds. The long vertex starts as the other workers' spins run out
-// (swept in 125 ns steps, as in RunParkWake), so some of them are
-// registering as sleepers just then. A stranded root would wait for the
-// long vertex, which gives up after `patience`: the test fails instead of
-// hanging.
+// so a wake must reach a worker that takes the root from the injection
+// queue before it goes stealing, even when it loses the queue's lock. The
+// long vertex starts as the other workers' spins run out (swept in 125 ns
+// steps, as in RunParkWake), so some of them are registering as sleepers
+// just then. A stranded root would wait for the long vertex, which gives
+// up after `patience`: the test fails instead of hanging.
 class LongVertexParkWake : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(LongVertexParkWake, RootsInjectedBesideItRunElsewhere) {
