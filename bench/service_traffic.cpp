@@ -7,9 +7,12 @@
 // threads. Arrivals are open-loop: each client draws exponential
 // inter-arrival gaps (Poisson-ish process, bench PRNG) against an absolute
 // schedule, so a slow service makes arrivals pile up against the admission
-// cap instead of throttling the offered load. Each submission is a small
-// fork2 spawn tree (3 leaves); clients collect every ticket at the end of
-// the batch so each repetition ends quiescent and conservation is checkable.
+// cap instead of throttling the offered load. The first quarter of each
+// client's submissions in a repetition is a burst: a 4096-iteration
+// parallel_for_blocked, whose first 3 iterations count a leaf. The rest are
+// a small fork2 spawn tree (3 leaves). Clients collect every ticket at the
+// end of the batch so each repetition ends quiescent and conservation
+// (3 leaves per completed submission) is checkable.
 //
 // Metrics: completed submissions/s, plus the three service latency
 // distributions that separate where time goes:
@@ -25,18 +28,24 @@
 // first idle trim (idle_trim_after is 1 ms here).
 //
 // Busy trim: the service runs with an aggressive busy_trim_every cadence
-// (knob -busytrim, default 32 here vs the production default 256) and a
+// (knob -busytrim, default 16 here vs the production default 256) and a
 // small-slab / small-magazine alloc spec (pool:4096:256 — minimum rails),
-// so burst frees overflow the per-worker magazines onto the global recycle
-// list where trim_live() can see whole slabs drain. That demonstrates the
-// epoch reclamation path end to end — busy_trims / slabs_retired /
-// slabs_reclaimed ride in `extra` next to busy_trim_every, and whenever
-// that cadence is nonzero the CI gate asserts that every record ran busy
-// trims and that under sustained load some slabs actually made the full
-// retire -> 2-epoch-delay -> reclaim trip while submissions were in flight
-// (the dispatcher never trims outside its dispatch loop). Default-geometry
-// behaviour (big magazines strand cells; see the ROADMAP carry-over on
-// magazine shedding) stays covered by every other bench.
+// so the burst's frees overflow the per-worker magazines onto the global
+// recycle list where trim_live() can see whole slabs drain (a service
+// worker also moves its magazine cells there before it sleeps). Without the
+// burst the registry holds about one slab per pool, because submissions are
+// built and freed on the workers; even with it, whole slabs come free only
+// in the short tail of a rep, after the bursts ran, and a cadence of 32
+// left that tail without a reclaiming trim in about one CI document in
+// eight on a 4-core Xeon.
+// That demonstrates the epoch reclamation path end to end — busy_trims /
+// slabs_retired / slabs_reclaimed ride in `extra` next to busy_trim_every,
+// and whenever that cadence is nonzero the CI gate asserts that every
+// record ran busy trims and that under sustained load some slabs actually
+// made the full retire -> 2-epoch-delay -> reclaim trip while submissions
+// were in flight (the dispatcher never trims outside its dispatch loop).
+// Default-geometry behaviour (big magazines strand cells; see the ROADMAP
+// carry-over on magazine shedding) stays covered by every other bench.
 //
 // Scale knobs: -n / SPDAG_N (submissions per repetition, default 1<<12),
 // -proc / SPDAG_PROC (workers), -runs / SPDAG_RUNS, -arrivalns (mean
@@ -55,6 +64,7 @@
 #include <thread>
 #include <vector>
 
+#include "dag/parallel_for.hpp"
 #include "harness/bench_runner.hpp"
 #include "obs/trace.hpp"
 #include "sched/runtime.hpp"
@@ -87,6 +97,14 @@ std::uint64_t run_client(dag_service& svc, std::uint64_t count,
   for (std::uint64_t i = 0; i < count; ++i) {
     next += std::chrono::nanoseconds(exp_gap_ns(rng, mean_gap_ns));
     std::this_thread::sleep_until(next);  // past-due deadlines return at once
+    if (i < count / 4) {
+      tickets.push_back(svc.submit([&leaves] {
+        parallel_for_blocked(0, 4096, 1, [&leaves](std::size_t j) {
+          if (j < 3) leaves.fetch_add(1, std::memory_order_relaxed);
+        });
+      }));
+      continue;
+    }
     tickets.push_back(svc.submit([&leaves] {
       fork2([&leaves] { leaves.fetch_add(1, std::memory_order_relaxed); },
             [&leaves] {
@@ -230,7 +248,7 @@ int main(int argc, char** argv) {
   const std::size_t cap =
       static_cast<std::size_t>(opts.get_int("cap", 256));
   const std::size_t busy_trim =
-      static_cast<std::size_t>(opts.get_int("busytrim", 32));
+      static_cast<std::size_t>(opts.get_int("busytrim", 16));
 
   // Client-count sweep against a fixed worker pool, for both schedulers:
   // the contention axis is concurrent submitters, not workers.

@@ -382,6 +382,9 @@ void dag_engine::add(vertex* v) {
 
 void dag_engine::execute(vertex* v) {
   tally(&engine_stats::executions);
+  // Read before the body: once an external vertex's body has published
+  // work, that work can finish and its owner free the vertex.
+  const bool external = v->external;
   vertex* prev_v = tls_current_vertex;
   dag_engine* prev_e = tls_current_engine;
   tls_current_vertex = v;
@@ -389,6 +392,7 @@ void dag_engine::execute(vertex* v) {
   if (v->body) v->body();
   tls_current_vertex = prev_v;
   tls_current_engine = prev_e;
+  if (external) return;
   // Recycle BEFORE signaling: the signal below may transitively enable the
   // final vertex on another worker, and the run is only quiescent once every
   // vertex is recycled. Claim the decrement handle first (it lives in v).

@@ -116,6 +116,8 @@ class dag_engine {
   // Serial composition: nests a sequential computation under `u`.
   // Returns (v, w) where v runs first (fin = w) and w runs after v's
   // entire subtree completes. Must be the last dag operation u performs.
+  // When u has no fin (a service ticket's launcher), the pair has make()'s
+  // shape: w is a final vertex, and v a root.
   std::pair<vertex*, vertex*> chain(vertex* u);
 
   // Parallel composition: creates two parallel vertices under u's finish,
@@ -217,7 +219,10 @@ class dag_engine {
   std::size_t trim_pools_live(std::size_t* slabs_reclaimed = nullptr);
 
   // Runs v's body with this-vertex context, signals if v is not dead, and
-  // recycles v. Called by the executor's workers.
+  // recycles v. Called by the executor's workers. An external vertex
+  // (vertex::external) is only run and counted: it has no fin to signal
+  // and is not the engine's to recycle, and execute() does not read it
+  // after its body returns.
   void execute(vertex* v);
 
   // --- plumbing ---

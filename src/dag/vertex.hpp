@@ -92,6 +92,12 @@ class vertex {
   // spawn (the grown children may collide with a sharer's grow of the same
   // hint); a fresh finish counter's root handle resets it to false.
   bool shared_inc = false;
+
+  // True for a vertex the engine did not allocate: a dag_service ticket
+  // embeds one that launches its submission. Such a vertex has no fin, and
+  // dag_engine::execute() lets go of it when its body returns: no signal,
+  // no recycle, no further read (see there).
+  bool external = false;
 };
 
 }  // namespace spdag

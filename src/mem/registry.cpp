@@ -48,9 +48,9 @@ std::size_t pool_registry::trim() {
   }
   // At quiescence no OTHER thread is pinned, so both advances succeed and
   // whatever an earlier live trim parked in limbo becomes reclaimable. The
-  // caller itself may hold a loop-scoped pin (the service dispatcher does)
-  // — it holds no stale pointers here, so refreshing its own record between
-  // the advances keeps it from being the laggard that blocks the second one.
+  // caller itself may hold a loop-scoped pin — it holds no stale pointers
+  // here, so refreshing its own record between the advances keeps it from
+  // being the laggard that blocks the second one.
   mem::epoch::try_advance();
   mem::epoch::refresh();
   mem::epoch::try_advance();
@@ -72,6 +72,11 @@ std::size_t pool_registry::trim_live(std::size_t* reclaimed) {
   const std::size_t freed = mem::epoch::reclaim();
   if (reclaimed != nullptr) *reclaimed = freed;
   return retired;
+}
+
+void pool_registry::flush_magazines() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& p : pools_) p->flush_magazine();
 }
 
 std::unique_ptr<object_pool> malloc_pool_registry::create(std::string name,

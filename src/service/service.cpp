@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "mem/epoch.hpp"
 #include "obs/trace.hpp"
 #include "util/backoff.hpp"
 #include "util/spin_wait.hpp"
@@ -68,6 +67,18 @@ ticket dag_service::submit_body(vertex_body job) {
   detail::ticket_state* t = tickets_.create();
   t->svc = this;
   t->job = std::move(job);
+  // Runs on the worker that pops the launcher, inside execute(): chain()
+  // on a vertex with no fin builds make()'s (root, final) pair from that
+  // worker's magazines. The root runs the job; the final vertex, which the
+  // engine enqueues only after the root's entire nested computation
+  // signals, carries the completion. No stop vertex: this is what service
+  // mode replaces run()'s termination protocol with. Publishing the root
+  // is the body's last act, so nothing touches the ticket's launcher
+  // after a completion can free the ticket.
+  t->launcher.external = true;
+  t->launcher.body = [this, t] {
+    finish_then(std::move(t->job), [this, t] { complete(t); });
+  };
   t->submit_tp = clock::now();
   detail::ticket_state* head = inbox_.load(std::memory_order_relaxed);
   do {
@@ -155,15 +166,7 @@ void dag_service::dispatch(detail::ticket_state* t) {
   obs::emit(obs::ev_admit, 0, clamp_us(queue_ns));
   n_admitted_.fetch_add(1, std::memory_order_relaxed);
   queue_hist_.record(queue_ns);
-
-  // The submission's dag: root runs the client job; the final vertex —
-  // which the engine enqueues only after the root's entire nested
-  // computation signals — carries the completion. No stop vertex: this is
-  // what service mode replaces run()'s termination protocol with.
-  auto [root, final_v] = rt_.engine().make();
-  root->body = std::move(t->job);
-  final_v->body = [this, t] { complete(t); };
-  rt_.engine().add(root);
+  rt_.engine().add(&t->launcher);
 }
 
 void dag_service::reject_queued(detail::ticket_state* t) {
@@ -210,15 +213,10 @@ void dag_service::release_ref(detail::ticket_state* t) noexcept {
 }
 
 void dag_service::dispatcher_main() {
-  // The dispatcher follows the workers' epoch protocol (src/mem/epoch.hpp):
-  // pinned for its whole loop — it dereferences pooled memory through
-  // engine::make() and ticket handling — refreshed at the loop top (no
-  // stale pointer survives an iteration, and the spin refreshes too),
-  // unpinned across its sleeps so an idle dispatcher never stalls
-  // reclamation.
-  mem::epoch::pin_guard eg;
+  // The dispatcher reads no cell of the runtime's pools (tickets come from
+  // tickets_, which no trim releases), so unlike a worker it holds no
+  // epoch pin (src/mem/epoch.hpp); the trims it runs pin what they walk.
   for (;;) {
-    mem::epoch::refresh();
     if (detail::ticket_state* t = take_inbox()) {
       trim_settled_ = false;
       while (t != nullptr) {
@@ -244,12 +242,8 @@ void dag_service::dispatcher_main() {
       // holds its slot too, so keep polling. seq_cst pairs with admit()'s
       // seq_cst increment/check: see the store-buffering note there.
       if (inflight_.load(std::memory_order_seq_cst) == 0) return;
-      mem::epoch::unpin();
-      {
-        std::unique_lock<std::mutex> lk(dispatch_mu_);
-        dispatch_cv_.wait_for(lk, std::chrono::milliseconds(1));
-      }
-      mem::epoch::pin();
+      std::unique_lock<std::mutex> lk(dispatch_mu_);
+      dispatch_cv_.wait_for(lk, std::chrono::milliseconds(1));
       continue;
     }
     // Empty inbox: spin, then sleep until a push or shutdown wakes us, or
@@ -263,12 +257,7 @@ void dag_service::dispatcher_main() {
       return inbox_.load(std::memory_order_seq_cst) != nullptr ||
              stop_.load(std::memory_order_seq_cst);
     };
-    const auto refresh_then_woken = [&] {
-      mem::epoch::refresh();
-      return woken();
-    };
-    if (spin_until(refresh_then_woken)) continue;
-    mem::epoch::unpin();
+    if (spin_until(woken)) continue;
     bool idle = false;
     {
       std::unique_lock<std::mutex> lk(dispatch_mu_);
@@ -285,7 +274,6 @@ void dag_service::dispatcher_main() {
       }
       dispatcher_asleep_.store(false, std::memory_order_relaxed);
     }
-    mem::epoch::pin();
     if (idle) trim_settled_ = try_idle_trim();
   }
 }
@@ -320,14 +308,17 @@ void dag_service::maybe_busy_trim() {
 
 bool dag_service::try_idle_trim() {
   // Trim safety. A quiescent trim needs no concurrent traffic on the
-  // registry's pools, and only two kinds of thread allocate or free cells
-  // in them: workers, inside execute() or an offloaded drain, and the
-  // dispatcher, through engine::make(). Client threads touch only
-  // tickets_, which no trim releases. The dispatcher is the only thread
+  // registry's pools, and only workers allocate or free cells in them:
+  // inside execute(), which includes building each submission's pair (its
+  // launcher's body) and running offloaded drains, and in the magazine
+  // flush before a sleep, which holds the registry's lock and so waits for
+  // this trim (scheduler_base::flush_magazines). Clients touch only
+  // tickets_, which no trim releases, and the dispatcher only stamps
+  // tickets and injects their launchers. The dispatcher is the only thread
   // that injects work, and it is here: so once nothing is in flight and
-  // the workers are seen idle below, no thread can reach the registry's
-  // pools until we return. A submission that is admitted meanwhile waits
-  // in the inbox.
+  // the workers are seen idle below, no execute() can begin until we
+  // return. A ticket between its pop and its build is covered by
+  // inflight_ != 0, and one admitted meanwhile waits in the inbox.
   //
   // Returns true when the pools are settled: quiescent and trimmed, so
   // nothing can change them before the next dispatch and the dispatcher's

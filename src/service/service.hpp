@@ -21,12 +21,15 @@
 //     atomic list head with a single CAS (the ticket's own `next` link is
 //     the node), and only a push that finds the inbox empty can have a
 //     dispatcher to wake. max_inflight already bounds the list's length.
-//   * a dispatcher thread that takes the whole inbox with one exchange,
-//     reverses it into arrival order, builds each (root, final) pair via
-//     dag_engine::make(), and feeds roots to the scheduler's external
-//     enqueue path. A single dispatcher is deliberate: engine::make() draws
-//     from pooled allocation, and one dispatching thread means one warm
-//     magazine instead of N cold client slots.
+//   * a dispatcher thread, a relay: it takes the whole inbox with one
+//     exchange, reverses it into arrival order, stamps and records each
+//     ticket, and injects the ticket's embedded launcher vertex through
+//     the scheduler's external enqueue path. It allocates nothing from the
+//     runtime's pools: the worker that pops a launcher builds the
+//     submission's (root, final) pair (dag_engine::chain on a vertex with
+//     no fin), so the pair's cells are allocated from that worker's
+//     magazines and, unless a thief takes part of the dag, freed back to
+//     them — the in-counter's bookkeeping stays on the core that uses it.
 //   * a ticket pool of its own (not the runtime's registry), so client
 //     threads allocate and free tickets without touching any pool a trim
 //     releases.
@@ -53,7 +56,10 @@
 //     under sustained traffic therefore returns burst memory while
 //     submissions are still in flight, instead of waiting for a quiet
 //     period the workload may never offer. The epoch protocol, not
-//     exclusion, is what makes this trim safe.
+//     exclusion, is what makes this trim safe. Since a burst's cells come
+//     back to the workers' magazines, which trim_live() does not touch, a
+//     service worker moves its magazine cells to the shared recycle lists
+//     before it sleeps (scheduler_base::flush_magazines).
 //
 // Lifetime: tickets are cells of the service's ticket pool and MUST NOT
 // outlive the service. Destruction runs shutdown(drain_mode::drain):
@@ -128,16 +134,20 @@ struct service_stats {
 
 namespace detail {
 
-// Shared completion record behind a ticket, and the inbox node that carries
-// it to the dispatcher. Pooled; two references — the client's ticket and
-// the service (held until the completion or rejection path has fulfilled
-// it).
+// Shared completion record behind a ticket, the inbox node that carries
+// it to the dispatcher, and the vertex that launches it on a worker.
+// Pooled; two references — the client's ticket and the service (held until
+// the completion or rejection path has fulfilled it).
 struct ticket_state {
   enum : std::uint32_t { pending, completed, rejected };
 
   dag_service* svc = nullptr;
   ticket_state* next = nullptr;  // inbox link; published by the push's CAS
-  vertex_body job;               // moved into the root vertex at dispatch
+  vertex_body job;               // moved into the root vertex at launch
+  // What the dispatcher injects: an external vertex whose body runs on the
+  // worker that pops it and chains the job and the completion
+  // (dag_service::submit_body).
+  vertex launcher;
   std::atomic<int> refs{2};
   // Clients wait() on it (util/spin_wait.hpp); set once.
   std::atomic<std::uint32_t> state{pending};
@@ -249,20 +259,24 @@ class dag_service {
   slab_pool<detail::ticket_state> tickets_{"service_ticket"};
   runtime rt_;
 
+  // The fields below come in groups, each starting a cache line, so that
+  // clients, the dispatcher and the workers do not write one another's
+  // lines on every submission.
+
   // Submitted tickets, newest first (see the file comment).
-  std::atomic<detail::ticket_state*> inbox_{nullptr};
+  alignas(cache_line_size) std::atomic<detail::ticket_state*> inbox_{nullptr};
 
   // Admission. inflight_ is the only gate state; a blocked submitter
   // spins, then sleeps on admit_cv_, which every completion notifies.
-  std::atomic<std::size_t> inflight_{0};
+  alignas(cache_line_size) std::atomic<std::size_t> inflight_{0};
   std::atomic<std::size_t> peak_inflight_{0};
-  std::mutex admit_mu_;
+  alignas(cache_line_size) std::mutex admit_mu_;
   std::condition_variable admit_cv_;
 
   // True while the dispatcher sleeps on dispatch_cv_ (announced under
   // dispatch_mu_); wake_dispatcher() clears it and notifies. The drain
   // poll after shutdown waits on dispatch_cv_ unannounced.
-  std::atomic<bool> dispatcher_asleep_{false};
+  alignas(cache_line_size) std::atomic<bool> dispatcher_asleep_{false};
   std::mutex dispatch_mu_;
   std::condition_variable dispatch_cv_;
   std::thread dispatcher_;
@@ -280,18 +294,19 @@ class dag_service {
   // Shutdown. stopping_ elects the mode-setter; stop_ is what admit() and
   // the dispatcher read (stored after reject_pending_, so a reader that
   // sees stop_ sees the mode).
-  std::atomic<bool> stopping_{false};
+  alignas(cache_line_size) std::atomic<bool> stopping_{false};
   std::atomic<bool> stop_{false};
   std::atomic<bool> reject_pending_{false};
   std::mutex join_mu_;
   bool ended_service_ = false;  // guarded by join_mu_
 
-  // Stats (relaxed monotone counters).
-  std::atomic<std::uint64_t> n_submitted_{0};
-  std::atomic<std::uint64_t> n_admitted_{0};
-  std::atomic<std::uint64_t> n_rejected_{0};
-  std::atomic<std::uint64_t> n_completed_{0};
+  // Stats (relaxed monotone counters), grouped by the thread that writes
+  // them: clients, the dispatcher, the workers.
+  alignas(cache_line_size) std::atomic<std::uint64_t> n_submitted_{0};
   std::atomic<std::uint64_t> n_blocked_{0};
+  std::atomic<std::uint64_t> n_rejected_{0};
+  alignas(cache_line_size) std::atomic<std::uint64_t> n_completed_{0};
+  alignas(cache_line_size) std::atomic<std::uint64_t> n_admitted_{0};
   std::atomic<std::uint64_t> n_idle_trims_{0};
   std::atomic<std::uint64_t> n_slabs_released_{0};
   std::atomic<std::uint64_t> n_busy_trims_{0};
@@ -299,7 +314,7 @@ class dag_service {
   std::atomic<std::uint64_t> n_slabs_reclaimed_{0};
 
   latency_histogram queue_hist_;
-  latency_histogram exec_hist_;
+  alignas(cache_line_size) latency_histogram exec_hist_;
   latency_histogram sojourn_hist_;
 };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <string>
@@ -154,16 +155,34 @@ TEST_P(SchedulerWorkers, Indegree2Completes) {
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, SchedulerWorkers,
                          ::testing::Values(1, 2, 3, 4, 8));
 
+// The steal is made necessary: the worker that runs the root pops the
+// waiter first (LIFO) and spins in it until the setter has run, which only
+// another worker can do. Under private a victim inside a body never answers
+// a steal request, so this stays on ws. The waiter gives up after 10 s, so
+// a scheduler that never steals fails here instead of hanging.
 TEST(Scheduler, StealsHappenWithMultipleWorkers) {
   runtime rt(runtime_config{4, "dyn"});
   rt.sched().reset_totals();
-  harness::fanin(rt, 1 << 14);
-  const scheduler_totals t = rt.sched().totals();
-  EXPECT_GT(t.executions, 0u);
-  // On a multi-worker run of a wide dag some work should migrate. (This can
-  // be flaky only if one worker does everything; the fanin tree is wide
-  // enough that at least one steal is essentially certain.)
-  EXPECT_GT(t.steals, 0u);
+  int root_id = -1;
+  std::atomic<int> setter_id{-1};
+  rt.run([&] {
+    root_id = scheduler::current_worker_id();
+    fork2(
+        [&setter_id] {
+          setter_id.store(scheduler::current_worker_id(),
+                          std::memory_order_release);
+        },
+        [&setter_id] {
+          const auto give_up =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (setter_id.load(std::memory_order_acquire) < 0 &&
+                 std::chrono::steady_clock::now() < give_up) {
+          }
+        });
+  });
+  ASSERT_GE(setter_id.load(), 0) << "the setter never ran on another worker";
+  EXPECT_NE(setter_id.load(), root_id);
+  EXPECT_GE(rt.sched().totals().steals, 1u);
 }
 
 TEST(Scheduler, ExternalEnqueueGoesThroughInjectionQueue) {
@@ -210,7 +229,7 @@ TEST_P(SchedulerLifecycle, RunThenServiceThenRunKeepsTheLedgersEqual) {
   rt.sched().begin_service(rt.engine());
   {
     // make() and add() touch pooled memory: the injecting thread follows
-    // the workers' epoch protocol, as the service's dispatcher does.
+    // the workers' epoch protocol.
     mem::epoch::pin_guard pg;
     for (int i = 0; i < kDags; ++i) {
       auto [root, final_v] = rt.engine().make();

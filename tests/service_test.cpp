@@ -1,5 +1,6 @@
 // dag_service semantics across both schedulers: submit/wait round trips,
-// arrival-order dispatch through the inbox, exactly-once completion under
+// arrival-order dispatch through the inbox, worker-side builds (no remote
+// frees on a one-worker service), exactly-once completion under
 // concurrent clients, admission backpressure (block and reject), shutdown
 // drain/reject conservation, the idle-timer pool trim (with tickets kept
 // out of the registry it trims), and the checked try_trim_pools no-op
@@ -114,6 +115,31 @@ TEST_P(ServiceTest, UntimedDispatcherWakesForEverySubmission) {
   for (auto& th : clients) th.join();
   EXPECT_EQ(ran.load(), kClients * kRoundTrips);
   EXPECT_EQ(svc.stats().idle_trims, 0u);
+}
+
+// The worker that runs a submission builds its (root, final) pair, so on a
+// one-worker service every registry cell is allocated and freed by that
+// worker. (When the dispatcher built the pairs, each submission freed four
+// cells remotely: two vertices, the counter and the dec-pair.)
+TEST_P(ServiceTest, OneWorkerServiceFreesNothingRemotely) {
+  constexpr int kJobs = 10000;
+  auto cfg = base_cfg(GetParam(), /*workers=*/1);
+  cfg.idle_trim_after = 0ms;
+  dag_service svc(cfg);
+  const std::uint64_t before = svc.rt().pools().totals().remote_frees;
+  std::atomic<std::uint64_t> leaves{0};
+  std::vector<ticket> tickets;
+  tickets.reserve(kJobs);
+  for (int i = 0; i < kJobs; ++i) {
+    tickets.push_back(svc.submit([&leaves] {
+      auto leaf = [&leaves] { leaves.fetch_add(1, std::memory_order_relaxed); };
+      fork2(leaf, [leaf] { fork2(leaf, leaf); });
+    }));
+    ASSERT_TRUE(tickets.back().valid());
+  }
+  for (auto& t : tickets) ASSERT_TRUE(t.wait());
+  EXPECT_EQ(leaves.load(), 3u * kJobs);
+  EXPECT_EQ(svc.rt().pools().totals().remote_frees - before, 0u);
 }
 
 TEST_P(ServiceTest, ConcurrentClientsCompleteExactlyOnce) {
