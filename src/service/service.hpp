@@ -301,7 +301,7 @@ class dag_service {
   bool ended_service_ = false;  // guarded by join_mu_
 
   // Stats (relaxed monotone counters), grouped by the thread that writes
-  // them: clients, the dispatcher, the workers.
+  // them: clients, the workers, the dispatcher.
   alignas(cache_line_size) std::atomic<std::uint64_t> n_submitted_{0};
   std::atomic<std::uint64_t> n_blocked_{0};
   std::atomic<std::uint64_t> n_rejected_{0};
