@@ -28,22 +28,20 @@
 // first idle trim (idle_trim_after is 1 ms here).
 //
 // Busy trim: the service runs with an aggressive busy_trim_every cadence
-// (knob -busytrim, default 16 here vs the production default 256) and a
+// (knob -busytrim, default 32 here vs the production default 256) and a
 // small-slab / small-magazine alloc spec (pool:4096:256 — minimum rails),
 // so the burst's frees overflow the per-worker magazines onto the global
-// recycle list where trim_live() can see whole slabs drain (a service
-// worker also moves its magazine cells there before it sleeps). Without the
-// burst the registry holds about one slab per pool, because submissions are
-// built and freed on the workers; even with it, whole slabs come free only
-// in the short tail of a rep, after the bursts ran, and a cadence of 32
-// left that tail without a reclaiming trim in about one CI document in
-// eight on a 4-core Xeon.
-// That demonstrates the epoch reclamation path end to end — busy_trims /
+// recycle list where trim_live() can see whole slabs drain. That
+// demonstrates the epoch reclamation path end to end — busy_trims /
 // slabs_retired / slabs_reclaimed ride in `extra` next to busy_trim_every,
 // and whenever that cadence is nonzero the CI gate asserts that every
 // record ran busy trims and that under sustained load some slabs actually
 // made the full retire -> 2-epoch-delay -> reclaim trip while submissions
 // were in flight (the dispatcher never trims outside its dispatch loop).
+// Submissions are built and freed on the workers, so without the burst the
+// registry holds about one slab per pool; even with it, the cells the
+// workers' magazines keep pin most slabs, and some documents record no
+// reclaim at all (see the ROADMAP carry-over on slab locality).
 // Default-geometry behaviour (big magazines strand cells; see the ROADMAP
 // carry-over on magazine shedding) stays covered by every other bench.
 //
@@ -248,7 +246,7 @@ int main(int argc, char** argv) {
   const std::size_t cap =
       static_cast<std::size_t>(opts.get_int("cap", 256));
   const std::size_t busy_trim =
-      static_cast<std::size_t>(opts.get_int("busytrim", 16));
+      static_cast<std::size_t>(opts.get_int("busytrim", 32));
 
   // Client-count sweep against a fixed worker pool, for both schedulers:
   // the contention axis is concurrent submitters, not workers.

@@ -155,11 +155,6 @@ class object_pool {
   // of slabs retired this call.
   virtual std::size_t trim_live() { return 0; }
 
-  // Moves the calling thread's cached cells, if any, to the shared recycle
-  // list, where trim_live() can see them. Legal under concurrent traffic.
-  // Default: nothing cached per thread.
-  virtual void flush_magazine() noexcept {}
-
   const std::string& name() const noexcept { return name_; }
   std::size_t object_bytes() const noexcept { return object_bytes_; }
   std::size_t object_align() const noexcept { return object_align_; }

@@ -74,11 +74,6 @@ std::size_t pool_registry::trim_live(std::size_t* reclaimed) {
   return retired;
 }
 
-void pool_registry::flush_magazines() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& p : pools_) p->flush_magazine();
-}
-
 std::unique_ptr<object_pool> malloc_pool_registry::create(std::string name,
                                                           std::size_t bytes,
                                                           std::size_t align) {

@@ -72,11 +72,6 @@ class pool_registry {
   // earlier retire on this process's epoch domain) were actually freed.
   std::size_t trim_live(std::size_t* reclaimed = nullptr);
 
-  // Every pool's flush_magazine() for the calling thread. Holds the lock
-  // trim() holds throughout, so a flush waits for a quiescent trim in
-  // progress instead of racing it on the caller's magazines.
-  void flush_magazines();
-
   // The spec string this registry was built from ("malloc", "pool", ...).
   virtual std::string spec() const = 0;
 

@@ -151,7 +151,7 @@ void slab_cache::deallocate(void* p) noexcept {
     if (remote) bump(m->remote_frees);
     std::uint32_t cnt = m->count.load(std::memory_order_relaxed);
     if (cnt == mag_slots_) {
-      flush(*m, mag_slots_ / 2);
+      flush(*m);
       cnt = m->count.load(std::memory_order_relaxed);
     }
     m->items()[cnt] = p;
@@ -185,9 +185,11 @@ void slab_cache::refill(magazine& m) {
   obs::emit(obs::ev_mag_refill, 0, cnt);
 }
 
-void slab_cache::flush(magazine& m, std::uint32_t keep) noexcept {
+void slab_cache::flush(magazine& m) noexcept {
   bump(m.flushes);
-  // Link the cells into one chain, publish it with one CAS.
+  // Hand everything above half the capacity back; link it into one chain,
+  // publish with one CAS.
+  const std::uint32_t keep = mag_slots_ / 2;
   const std::uint32_t cnt = m.count.load(std::memory_order_relaxed);
   void** items = m.items();
   void* first = items[cnt - 1];
@@ -198,15 +200,6 @@ void slab_cache::flush(magazine& m, std::uint32_t keep) noexcept {
   m.count.store(keep, std::memory_order_relaxed);
   push_global(first, last, cnt - keep);
   obs::emit(obs::ev_mag_flush, 0, cnt - keep);
-}
-
-void slab_cache::flush_magazine() noexcept {
-  const int slot = mem::thread_slot();
-  magazine* m =
-      slot >= 0 ? mags_[slot].load(std::memory_order_acquire) : nullptr;
-  if (m != nullptr && m->count.load(std::memory_order_relaxed) != 0) {
-    flush(*m, 0);
-  }
 }
 
 void slab_cache::carve(void** out, std::uint32_t want, std::uint32_t& got) {

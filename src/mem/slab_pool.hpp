@@ -78,7 +78,6 @@ class slab_cache : public object_pool {
   pool_stats stats() const override;
   std::size_t trim() override;
   std::size_t trim_live() override;
-  void flush_magazine() noexcept override;
 
   std::size_t cell_stride() const noexcept { return stride_; }
   std::size_t slab_bytes() const noexcept { return slab_bytes_; }
@@ -119,8 +118,7 @@ class slab_cache : public object_pool {
 
   magazine& mag(int slot);
   void refill(magazine& m);              // postcondition: m.count >= 1
-  // Hands every cell above `keep` to the recycle list; m.count > keep.
-  void flush(magazine& m, std::uint32_t keep) noexcept;
+  void flush(magazine& m) noexcept;      // postcondition: m.count < slots
   void carve(void** out, std::uint32_t want, std::uint32_t& got);
   void* pop_global() noexcept;
   void push_global(void* first, void* last, std::uint32_t n) noexcept;

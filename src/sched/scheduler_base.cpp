@@ -86,9 +86,8 @@ void scheduler_base::inject(vertex* v) { injected_.push(v); }
 vertex* scheduler_base::pop_injected() { return injected_.pop(); }
 
 bool scheduler_base::any_busy() const {
-  // seq_cst, like flush_magazines()' store of true: see end_service().
   for (const auto& r : rows_) {
-    if (r->value.busy.load(std::memory_order_seq_cst)) return true;
+    if (r->value.busy.load(std::memory_order_acquire)) return true;
   }
   return false;
 }
@@ -230,7 +229,6 @@ vertex* scheduler_base::idle(std::size_t id) {
 // while every worker sleeps, epoch advance comes from trims.
 vertex* scheduler_base::park(std::size_t id) {
   row& me = rows_[id]->value;
-  if (service_.load(std::memory_order_acquire)) flush_magazines(me);
   on_park(id);
   me.asleep.store(1, std::memory_order_seq_cst);
   sleepers_.fetch_add(1, std::memory_order_seq_cst);
@@ -251,23 +249,6 @@ vertex* scheduler_base::park(std::size_t id) {
   if (pass_on) unpark_some();
   on_wake(id);
   return v;
-}
-
-// Service mode only. A service's dags are built and freed on the workers,
-// so what a burst leaves behind sits in their magazines, where the
-// service's busy trim (trim_live()) cannot see it; a worker about to sleep
-// moves it to the shared recycle lists. run() mode skips this: there
-// workers park inside back-to-back small dags, and a flush on every park
-// read their latency 11-23% higher on a 4-core Xeon. The flush holds the
-// registry's lock, so it waits for a quiescent trim already running, and
-// it runs inside a busy bracket, so a trim that has not yet scanned the
-// flags backs off.
-void scheduler_base::flush_magazines(row& me) {
-  me.busy.store(true, std::memory_order_seq_cst);
-  if (dag_engine* eng = engine_.load(std::memory_order_seq_cst)) {
-    eng->pools().flush_magazines();
-  }
-  me.busy.store(false, std::memory_order_release);
 }
 
 void scheduler_base::run(dag_engine& engine, vertex* root, vertex* final_v) {
@@ -316,12 +297,7 @@ void scheduler_base::end_service() {
   // while its deque holds work.
   backoff b;
   while (!service_idle()) b.pause();
-  // A worker about to sleep may still flush its magazines through the
-  // engine: it sets its busy flag before it reads engine_, both seq_cst,
-  // so a scan after this seq_cst store either finds the flag or the flush
-  // never saw the engine.
-  engine_.store(nullptr, std::memory_order_seq_cst);
-  while (any_busy()) b.pause();
+  engine_.store(nullptr, std::memory_order_release);
   service_.store(false, std::memory_order_release);
 }
 

@@ -156,10 +156,12 @@ class scheduler_base : public executor {
     void push(vertex* v);
     vertex* pop();  // null when empty
   };
+  // Test seam: tests/park_wake_stress_test.cpp holds the fifo's lock to pin
+  // pop()'s retry.
+  friend struct injection_fifo_seam;
   struct row {
-    // True while this worker runs execute() or flushes its magazines; the
-    // owner is the only writer. run()'s epilogue, service_idle() and
-    // end_service() scan every flag (see execute()).
+    // True while this worker runs execute(); the owner is the only writer.
+    // run()'s epilogue and service_idle() scan every flag (see execute()).
     std::atomic<bool> busy{false};
     // The futex word this worker sleeps on: 1 from its registration as a
     // sleeper until a waker (or the worker itself, cancelling) stores 0.
@@ -175,9 +177,6 @@ class scheduler_base : public executor {
   // Registers as a sleeper, re-checks, and blocks until woken; returns a
   // vertex the re-check found, or null.
   vertex* park(std::size_t id);
-  // Service mode: moves the calling worker's magazine cells to the shared
-  // recycle lists before it sleeps (see scheduler_base.cpp).
-  void flush_magazines(row& me);
   // True while some worker is inside execute().
   bool any_busy() const;
   scheduler_totals sum_rows() const;

@@ -308,11 +308,9 @@ void dag_service::maybe_busy_trim() {
 
 bool dag_service::try_idle_trim() {
   // Trim safety. A quiescent trim needs no concurrent traffic on the
-  // registry's pools, and only workers allocate or free cells in them:
+  // registry's pools, and only workers allocate or free cells in them,
   // inside execute(), which includes building each submission's pair (its
-  // launcher's body) and running offloaded drains, and in the magazine
-  // flush before a sleep, which holds the registry's lock and so waits for
-  // this trim (scheduler_base::flush_magazines). Clients touch only
+  // launcher's body) and running offloaded drains. Clients touch only
   // tickets_, which no trim releases, and the dispatcher only stamps
   // tickets and injects their launchers. The dispatcher is the only thread
   // that injects work, and it is here: so once nothing is in flight and

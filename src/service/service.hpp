@@ -56,10 +56,7 @@
 //     under sustained traffic therefore returns burst memory while
 //     submissions are still in flight, instead of waiting for a quiet
 //     period the workload may never offer. The epoch protocol, not
-//     exclusion, is what makes this trim safe. Since a burst's cells come
-//     back to the workers' magazines, which trim_live() does not touch, a
-//     service worker moves its magazine cells to the shared recycle lists
-//     before it sleeps (scheduler_base::flush_magazines).
+//     exclusion, is what makes this trim safe.
 //
 // Lifetime: tickets are cells of the service's ticket pool and MUST NOT
 // outlive the service. Destruction runs shutdown(drain_mode::drain):

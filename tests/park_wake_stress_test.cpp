@@ -6,14 +6,17 @@
 // blocks and some timed to land as the workers' spins run out, and a
 // resident service whose clients submit
 // bursts separated by such pauses (dispatcher, admission and ticket waits),
-// plus construct/submit/shutdown cycles, and roots injected while one
-// worker runs a long vertex (a wake must reach a worker that can run them).
+// plus construct/submit/shutdown cycles, roots injected while one worker
+// runs a long vertex (a wake must reach a worker that can run them), and
+// an injection-queue pop that loses the queue's lock (it must retry, not
+// report the queue empty).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -25,6 +28,13 @@
 #include "util/spin_wait.hpp"
 
 namespace spdag {
+
+// The injection fifo that both schedulers' workers poll (scheduler_base
+// declares this struct a friend).
+struct injection_fifo_seam {
+  static auto& of(scheduler_base& s) { return s.injected_; }
+};
+
 namespace {
 
 // Long enough that a waiter exhausts its spin and blocks.
@@ -286,6 +296,57 @@ TEST_P(LongVertexParkWake, RootsInjectedBesideItRunElsewhere) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedulers, LongVertexParkWake,
+                         ::testing::Values("ws", "private"));
+
+// A pop() that loses the fifo's lock while the fifo holds a vertex must
+// keep trying and return that vertex, never null: a worker woken for an
+// injected root that took the queue for empty would go stealing instead,
+// and under private its steal request can wait out a whole vertex. The
+// test holds the lock itself, so no timing decides what pop() sees. Every
+// worker is asleep first, and the vertex is staged without a wake, so no
+// worker takes it (none could run it: no engine is attached).
+class InjectionPopRetries : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(InjectionPopRetries, WhileTheLockIsHeldElsewhere) {
+  constexpr std::size_t kWorkers = 2;
+  runtime rt({.workers = kWorkers, .sched = GetParam()});
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (rt.sched().totals().parks < kWorkers) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "the idle workers never blocked";
+    std::this_thread::sleep_for(past_spin);
+  }
+  auto& fifo = injection_fifo_seam::of(rt.sched());
+  vertex staged;
+  std::unique_lock<std::mutex> held(fifo.mu);
+  fifo.items.push_back(&staged);
+  fifo.size.fetch_add(1, std::memory_order_seq_cst);
+
+  std::atomic<bool> popping{false};
+  std::atomic<bool> returned{false};
+  vertex* got = nullptr;
+  std::thread popper([&] {
+    popping.store(true);
+    got = fifo.pop();
+    returned.store(true);
+  });
+  while (!popping.load()) std::this_thread::yield();
+  // A pop that gives up returns within microseconds; give it 200 ms.
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (!returned.load() && std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(returned.load()) << "pop() returned while the lock was held";
+  held.unlock();
+  popper.join();
+  EXPECT_EQ(got, &staged);
+  EXPECT_EQ(fifo.size.load(), 0u);
+  EXPECT_EQ(rt.sched().totals().executions, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedulers, InjectionPopRetries,
                          ::testing::Values("ws", "private"));
 
 INSTANTIATE_TEST_SUITE_P(
