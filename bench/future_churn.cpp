@@ -3,7 +3,7 @@
 //
 // Setup: n independent futures per run, each created, completed and
 // consumed by its own producer/consumer pair (harness::future_churn) — one
-// future_state + out-set + waiter record + four vertices cycled per
+// future_state + out-set + waiter record + three vertices cycled per
 // iteration, nothing reused across iterations except through the allocator.
 // Sweeps the `alloc:` spec: "malloc" sends every one of those objects to
 // the heap, "pool" serves them from per-worker slab magazines.

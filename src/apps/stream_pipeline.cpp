@@ -40,7 +40,8 @@ void consume(stream_ctx* c, std::uint64_t item, std::uint32_t s,
 }
 
 // Unbatched registration: a fork2 tree down to single future_then calls —
-// one spawn and one out-set CAS per consumer (the baseline path).
+// one spawn per fork2 (future_then itself posts no edge) and one out-set
+// CAS per consumer (the baseline path).
 void register_rec(stream_ctx* c, future<std::uint64_t> f, std::uint64_t item,
                   std::uint32_t s, std::uint32_t j_lo, std::uint32_t count) {
   if (count >= 2) {

@@ -312,24 +312,25 @@ void fork2_future(Producer producer, Consumer consumer) {
 
 // Schedules fn(value) as a fresh vertex under the current finish, gated on
 // the future's completion. Must be the last dag action of the current body.
+// The k = 1 batch (spawn_batch_vertices): the consumer inherits the current
+// vertex's obligation, so the finish counter hears nothing and no edge is
+// posted.
 template <typename T, typename F>
 void future_then(future<T> fut, F fn) {
   dag_engine* eng = dag_engine::current_engine();
-  vertex* u = dag_engine::current_vertex();
-  auto [consumer, filler] = eng->spawn(u);
+  vertex* consumer = nullptr;
+  eng->spawn_batch_vertices(dag_engine::current_vertex(), 1, &consumer);
   consumer->body = [fut, fn = std::move(fn)]() mutable { fn(fut.get()); };
-  // The spawn's second vertex has no work; it just resolves its obligation.
-  eng->add(filler);
   fut.register_waiter(consumer, eng);
 }
 
 // Batched future_then: schedules gen(i)(value) for i in [0, k) as k fresh
 // vertices under the current finish, all gated on the one future — ONE
-// batched counter increment (spawn_batch_vertices; no filler vertex needed,
-// the current vertex's obligation covers the k-th child) and one grouped
-// out-set registration per 32 consumers. Must be the last dag action of the
-// current body. gen runs synchronously for each i and returns the closure
-// that will receive the completed value.
+// batched counter increment (spawn_batch_vertices; the current vertex's
+// obligation covers the k-th child) and one grouped out-set registration
+// per 32 consumers. Must be the last dag action of the current body. gen
+// runs synchronously for each i and returns the closure that will receive
+// the completed value.
 template <typename T, typename Gen>
 void future_then_group(future<T> fut, std::uint32_t k, Gen gen) {
   assert(k >= 1 && "future_then_group needs at least one consumer");

@@ -66,7 +66,7 @@ std::uint64_t fanout_timed(runtime& rt, std::uint64_t consumers,
 // future_churn(n): n INDEPENDENT futures, each created, completed and
 // destroyed by its own producer/consumer pair — the allocation worst case
 // for the future machinery (one future_state + out-set + waiter record +
-// four vertices per iteration), the future-side analogue of indegree2's
+// three vertices per iteration), the future-side analogue of indegree2's
 // counter churn. Under `alloc:malloc` every iteration hits the heap; under
 // `alloc:pool` the slab pools absorb the storm after warm-up. Returns the
 // sum of delivered values (== n) so callers can assert exactly-once

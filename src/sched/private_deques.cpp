@@ -18,15 +18,8 @@ private_deque_scheduler::private_deque_scheduler(scheduler_config cfg)
 
 private_deque_scheduler::~private_deque_scheduler() { stop(); }
 
-void private_deque_scheduler::enqueue(vertex* v) {
-  if (const int id = my_worker_id(); id >= 0) {
-    // Owner-only push; no synchronization by design.
-    workers_[static_cast<std::size_t>(id)]->value.tasks.push_back(v);
-  } else {
-    inject(v);
-  }
-  obs::gauge_add(obs::g_runnable, 1);
-  unpark_some();
+void private_deque_scheduler::push(std::size_t id, vertex* v) {
+  workers_[id]->value.tasks.push_back(v);
 }
 
 void private_deque_scheduler::communicate(std::size_t id, bool can_give) {
@@ -78,9 +71,13 @@ vertex* private_deque_scheduler::try_steal(std::size_t id,
 vertex* private_deque_scheduler::next_vertex(std::size_t id) {
   worker& me = workers_[id]->value;
   // Poll for steal requests between executions; an idle worker declines.
-  communicate(id, /*can_give=*/me.tasks.size() > 1);
+  // This worker keeps the vertex it runs next: the held one if any, else
+  // its newest task.
+  vertex* v = take_held(id);
+  communicate(id, /*can_give=*/me.tasks.size() + (v != nullptr ? 1 : 0) > 1);
+  if (v != nullptr) return v;
   if (me.tasks.empty()) return pop_injected();
-  vertex* v = me.tasks.back();
+  v = me.tasks.back();
   me.tasks.pop_back();
   return v;
 }

@@ -10,8 +10,10 @@
 //   * every worker owns a `request` cell thieves CAS their id into, and a
 //     `transfer` cell where victims deliver;
 //   * a busy worker polls its request cell between vertex executions and
-//     answers with its OLDEST task (or a decline when it has nothing to
-//     spare);
+//     answers with its OLDEST task, or declines when it has nothing to
+//     spare: it spares a task only when its deque and its slot (the vertex
+//     it enqueued last, which it runs next; scheduler_base) hold two or
+//     more between them;
 //   * an idle thief publishes a request to a random victim and spins on its
 //     own transfer cell — declining any incoming request while it spins,
 //     which is what makes thief-thief encounters deadlock-free;
@@ -41,8 +43,6 @@ class private_deque_scheduler final : public scheduler_base {
   explicit private_deque_scheduler(scheduler_config cfg = {});
   ~private_deque_scheduler() override;
 
-  void enqueue(vertex* v) override;
-
  private:
   static constexpr int no_request = -1;
   static constexpr int closed = -2;  // the owner sleeps (on_park)
@@ -59,9 +59,11 @@ class private_deque_scheduler final : public scheduler_base {
     cache_aligned<std::atomic<vertex*>> transfer{nullptr};
   };
 
-  // Polls for a steal request, then pops the newest own task (LIFO for
-  // locality; thieves get the oldest through communicate()), else an
-  // injected vertex.
+  // Owner-only push; no synchronization by design.
+  void push(std::size_t id, vertex* v) override;
+  // Polls for a steal request, then takes the held vertex, else pops the
+  // newest own task (LIFO for locality; thieves get the oldest through
+  // communicate()), else an injected vertex.
   vertex* next_vertex(std::size_t id) override;
   // 2n steal requests to uniformly random victims.
   vertex* steal(std::size_t id) override;

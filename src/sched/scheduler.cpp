@@ -15,17 +15,12 @@ scheduler::scheduler(scheduler_config cfg) : scheduler_base(cfg) {
 
 scheduler::~scheduler() { stop(); }
 
-void scheduler::enqueue(vertex* v) {
-  if (const int id = my_worker_id(); id >= 0) {
-    workers_[static_cast<std::size_t>(id)]->value.deque.push_bottom(v);
-  } else {
-    inject(v);
-  }
-  obs::gauge_add(obs::g_runnable, 1);
-  unpark_some();
+void scheduler::push(std::size_t id, vertex* v) {
+  workers_[id]->value.deque.push_bottom(v);
 }
 
 vertex* scheduler::next_vertex(std::size_t id) {
+  if (vertex* v = take_held(id)) return v;
   if (vertex* v = workers_[id]->value.deque.pop_bottom()) return v;
   return pop_injected();
 }

@@ -3,9 +3,10 @@
 //
 // One Chase-Lev deque per worker; the owner treats it as a LIFO stack
 // (mirrors serial execution order, keeps the working set hot), thieves take
-// the oldest (largest) task from a uniformly random victim. An idle worker
-// spins briefly, sweeping with backoff, then sleeps on its own futex word
-// until an enqueue wakes it (scheduler_base). This is the substrate role
+// the oldest (largest) task from a uniformly random victim. The newest
+// vertex waits in the worker's slot instead of the deque (scheduler_base).
+// An idle worker spins briefly, sweeping with backoff, then sleeps on its
+// own futex word until an enqueue wakes it. This is the substrate role
 // played in the paper by the authors' PASL work-stealing scheduler [2].
 
 #include <cstddef>
@@ -24,11 +25,6 @@ class scheduler final : public scheduler_base {
   explicit scheduler(scheduler_config cfg = {});
   ~scheduler() override;
 
-  // executor: called by the dag engine when a vertex becomes ready, and by
-  // external threads to inject roots. Worker threads push to their own
-  // deque; everyone else goes through the injection queue.
-  void enqueue(vertex* v) override;
-
  private:
   struct worker {
     explicit worker(std::size_t id)
@@ -37,7 +33,8 @@ class scheduler final : public scheduler_base {
     xoshiro256 rng;
   };
 
-  // Own deque, then the injection queue.
+  void push(std::size_t id, vertex* v) override;
+  // The held vertex, own deque, then the injection queue.
   vertex* next_vertex(std::size_t id) override;
   // One steal attempt on `victim`'s deque, counted and traced.
   vertex* steal_from(std::size_t id, std::size_t victim);

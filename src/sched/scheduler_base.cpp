@@ -1,6 +1,7 @@
 #include "sched/scheduler_base.hpp"
 
 #include <cassert>
+#include <utility>
 
 #include "mem/epoch.hpp"
 #include "obs/trace.hpp"
@@ -81,6 +82,23 @@ void scheduler_base::stop() {
   threads_.clear();
 }
 
+void scheduler_base::enqueue(vertex* v) {
+  obs::gauge_add(obs::g_runnable, 1);
+  if (const int id = my_worker_id(); id >= 0) {
+    const auto me = static_cast<std::size_t>(id);
+    assert(rows_[me]->value.busy.load(std::memory_order_relaxed) &&
+           "a worker enqueues only inside execute()");
+    // Hold v: this worker runs it next, so it needs no queue and no wake.
+    // The vertex it displaces is the one a thief may take.
+    v = std::exchange(rows_[me]->value.held, v);
+    if (v == nullptr) return;
+    push(me, v);
+  } else {
+    inject(v);
+  }
+  unpark_some();
+}
+
 void scheduler_base::inject(vertex* v) { injected_.push(v); }
 
 vertex* scheduler_base::pop_injected() { return injected_.pop(); }
@@ -117,9 +135,10 @@ void scheduler_base::worker_main(std::size_t id) {
   // the pin, and trim_live() can run concurrently without a stop-the-world
   // phase. The pin is REFRESHED (never held across an epoch boundary while
   // stale pointers exist) at the loop top, where the worker provably holds
-  // no runtime pointers; the schedulers tick() the advance machinery at
-  // their idle transitions, so a busy scheduler makes epoch progress without
-  // any dedicated reclaimer thread.
+  // no stale runtime pointers (a held vertex is live, like its queue's);
+  // the schedulers tick() the advance machinery at their idle transitions,
+  // so a busy scheduler makes epoch progress without any dedicated
+  // reclaimer thread.
   mem::epoch::pin_guard eg;
 
   while (!stopping()) {
@@ -214,9 +233,13 @@ vertex* scheduler_base::idle(std::size_t id) {
 //    meanwhile, and if so passes that wake on to the next registered
 //    sleeper, since it may run something else for a long time before it
 //    looks at the fifo again.
-//  * A worker's own push (a deque push from inside execute()) reads
-//    sleepers_ without a fence of its own, so it can miss a sleeper that
-//    is registering at that moment. That costs parallelism, never
+//  * A worker's own enqueue (from inside execute()) holds its vertex in
+//    the worker's slot and wakes no one: the owner runs that vertex next,
+//    and it never sleeps holding one, because next_vertex() takes the slot
+//    before anything else, here and in every poll of the idle spin. The
+//    vertex the hold displaces goes to the worker's queue, and that push
+//    reads sleepers_ without a fence of its own, so it can miss a sleeper
+//    that is registering at that moment. That costs parallelism, never
 //    progress: an owner never sleeps with a non-empty queue, so it runs
 //    the vertex itself unless a thief takes it first. The re-check needs
 //    only local work and the fifo; last_look() narrows the window (ws
@@ -293,8 +316,8 @@ void scheduler_base::end_service() {
   // whatever is still in flight. Termination: with no external producer,
   // workers only shrink the queued population, and no queued vertex waits
   // on a sleeper: an injected one woke a sleeper or is seen by an awake
-  // worker (the argument above park()), and a deque's owner never sleeps
-  // while its deque holds work.
+  // worker (the argument above park()), and an owner never sleeps while
+  // its slot or its deque holds work.
   backoff b;
   while (!service_idle()) b.pause();
   engine_.store(nullptr, std::memory_order_release);

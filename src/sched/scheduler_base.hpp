@@ -12,13 +12,21 @@
 //
 // scheduler_base owns everything except how work is found: the worker
 // threads and their epoch-pinned loop, the busy-flag execute bracket, the
-// idle path, the injection queue for non-worker threads, run() and service
-// mode, and the per-worker counters behind totals(). A scheduler supplies
-// its queues and two hooks: next_vertex() takes local work (its own queue,
-// then the injection queue) and steal() makes one sweep over the other
-// workers. Three more serve a worker's sleep: last_look() is its final
-// non-blocking look at the other workers, and on_park()/on_wake() bracket
-// the sleep.
+// idle path, enqueue(), the injection queue for non-worker threads, run()
+// and service mode, and the per-worker counters behind totals(). A
+// scheduler supplies its queues and three hooks: push() puts a vertex on
+// the calling worker's own queue, next_vertex() takes local work (the held
+// vertex, its own queue, then the injection queue) and steal() makes one
+// sweep over the other workers. Three more serve a worker's sleep:
+// last_look() is its final non-blocking look at the other workers, and
+// on_park()/on_wake() bracket the sleep.
+//
+// Each worker holds the vertex it enqueued last in an owner-only slot
+// (row::held) and pushes only the vertex that slot displaces. The owner
+// takes the slot first, so execution order is the queue's LIFO order, but
+// the vertex it runs next skips the queue round trip and wakes nobody: the
+// work-first rule of Cilk-5 (Frigo, Leiserson & Randall, PLDI 1998). No
+// thief can take a held vertex, and only the newest vertex is held.
 //
 // An idle worker spins for spin_bound (util/spin_wait.hpp), re-sweeping
 // with exponential backoff between sweeps, then registers as a sleeper on
@@ -84,10 +92,16 @@ class scheduler_base : public executor {
   // True when this scheduler holds no queued or running work: injection
   // queue empty, no drain pending in the attached engine, no worker
   // mid-execute. NOT a full quiescence proof by itself — vertices can sit
-  // in worker-private deques between executes — so resident-service
-  // callers pair it with engine.live_vertices() == 0, which covers
-  // anything a deque could hold.
+  // in worker-private deques and slots between executes — so
+  // resident-service callers pair it with engine.live_vertices() == 0. A
+  // held vertex is live, so that count covers it exactly as it covers a
+  // deque's contents, and drains_pending() covers a held drain.
   bool service_idle() const;
+
+  // executor: a worker holds v and pushes the vertex it displaces onto
+  // its own queue; any other thread injects v. Wakes one sleeper unless
+  // the caller's own worker runs v next.
+  void enqueue(vertex* v) final;
 
   std::size_t worker_count() const noexcept { return rows_.size(); }
   // The per-worker counters summed, minus the reset_totals() baseline.
@@ -107,8 +121,12 @@ class scheduler_base : public executor {
   void start();
   void stop();
 
-  // Local work for worker `id`: its own queue, then the injection queue;
-  // null when both are empty. Cheap: the idle spin calls it on every poll.
+  // Owner-only push of a vertex that enqueue() displaced from worker
+  // `id`'s slot onto its own queue.
+  virtual void push(std::size_t id, vertex* v) = 0;
+  // Local work for worker `id`: its held vertex, its own queue, then the
+  // injection queue; null when all are empty. Cheap: the idle spin calls
+  // it on every poll.
   virtual vertex* next_vertex(std::size_t id) = 0;
   // One sweep over the other workers; the stolen vertex, or null.
   virtual vertex* steal(std::size_t id) = 0;
@@ -139,6 +157,15 @@ class scheduler_base : public executor {
     return shutdown_.load(std::memory_order_acquire);
   }
 
+  // Worker `id`'s held vertex, taken (null when the slot is empty).
+  // Owner-only.
+  vertex* take_held(std::size_t id) noexcept {
+    vertex*& held = rows_[id]->value.held;
+    vertex* v = held;
+    if (v != nullptr) held = nullptr;
+    return v;
+  }
+
   // Injection queue for vertices enqueued by non-worker threads.
   void inject(vertex* v);
   vertex* pop_injected();
@@ -166,6 +193,10 @@ class scheduler_base : public executor {
     // The futex word this worker sleeps on: 1 from its registration as a
     // sleeper until a waker (or the worker itself, cancelling) stores 0.
     std::atomic<std::uint32_t> asleep{0};
+    // The vertex this worker enqueued last, or null; owner-only. Filled
+    // only inside execute(), and taken by the next next_vertex(), so it is
+    // empty whenever the worker looks elsewhere for work.
+    vertex* held = nullptr;
     counters stats;
   };
 

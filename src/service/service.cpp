@@ -316,7 +316,10 @@ bool dag_service::try_idle_trim() {
   // that injects work, and it is here: so once nothing is in flight and
   // the workers are seen idle below, no execute() can begin until we
   // return. A ticket between its pop and its build is covered by
-  // inflight_ != 0, and one admitted meanwhile waits in the inbox.
+  // inflight_ != 0, and one admitted meanwhile waits in the inbox. A vertex
+  // a worker holds in its slot between two executes (scheduler_base::
+  // enqueue) is live, so live_vertices() covers it exactly as it covers a
+  // deque's contents, and drains_pending() covers a held drain.
   //
   // Returns true when the pools are settled: quiescent and trimmed, so
   // nothing can change them before the next dispatch and the dispatcher's

@@ -7,6 +7,7 @@
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "dag/future.hpp"
 #include "harness/workloads.hpp"
@@ -252,6 +253,69 @@ TEST(FuturePooling, SteadyStateChurnPerformsZeroUpstreamAllocation) {
   EXPECT_GT(after.recycles, warm.recycles);
   EXPECT_EQ(after.live(), warm.live()) << "churn must not leak cells";
 }
+
+// --- what future_then costs, by count ----------------------------------------
+//
+// N leaves of fork2_future + future_then under one run(). The dag: make()'s
+// root and final, N - 1 fork2s (two vertices and one increment each), N
+// fork2_futures (the same), and N consumers, each the k = 1 batch that
+// inherits its registering vertex's obligation (one vertex, no increment):
+// 5N vertices and 2N edges, each edge one increment and one depart. A
+// filler vertex beside each consumer would read 6N and 3N.
+
+class FutureThenCost
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, std::string, std::size_t>> {};
+
+void then_leaves(std::atomic<int>* delivered, int lo, int hi) {
+  if (hi - lo >= 2) {
+    const int mid = lo + (hi - lo) / 2;
+    fork2([delivered, lo, mid] { then_leaves(delivered, lo, mid); },
+          [delivered, mid, hi] { then_leaves(delivered, mid, hi); });
+    return;
+  }
+  fork2_future<int>([lo] { return lo; },
+                    [delivered](future<int> f) {
+                      future_then(f, [delivered](int v) {
+                        delivered[v].fetch_add(1, std::memory_order_relaxed);
+                      });
+                    });
+}
+
+TEST_P(FutureThenCost, FiveVerticesAndTwoEdgesPerLeaf) {
+  constexpr int kLeaves = 4096;
+  const auto& [counter, sched, workers] = GetParam();
+  runtime rt({.workers = workers, .counter = counter, .sched = sched});
+  std::vector<std::atomic<int>> delivered(kLeaves);
+  auto* d = delivered.data();
+  rt.run([d] { then_leaves(d, 0, kLeaves); });
+  for (int i = 0; i < kLeaves; ++i) {
+    ASSERT_EQ(delivered[static_cast<std::size_t>(i)].load(), 1)
+        << "value " << i << " not delivered exactly once";
+  }
+  const engine_stats s = rt.engine().stats();
+  const std::uint64_t n = kLeaves;
+  EXPECT_EQ(s.executions.load(), 5 * n);
+  EXPECT_EQ(s.vertices_created.load(), 5 * n);
+  EXPECT_EQ(s.vertices_recycled.load(), 5 * n);
+  EXPECT_EQ(s.edges.load(), 2 * n);
+  EXPECT_EQ(s.counter_incs.load(), 2 * n);
+  EXPECT_EQ(s.counter_decs.load(), 2 * n);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CountersSchedsWorkers, FutureThenCost,
+    ::testing::Combine(::testing::Values("faa", "snzi:4", "dyn", "dyn:1"),
+                       ::testing::Values("ws", "private"),
+                       ::testing::Values(std::size_t{1}, std::size_t{4})),
+    [](const auto& info) {
+      std::string algo = std::get<0>(info.param);
+      for (char& ch : algo) {
+        if (ch == ':') ch = '_';
+      }
+      return algo + "_" + std::get<1>(info.param) + "_w" +
+             std::to_string(std::get<2>(info.param));
+    });
 
 class FutureMatrix
     : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};

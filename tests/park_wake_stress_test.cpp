@@ -7,9 +7,10 @@
 // resident service whose clients submit
 // bursts separated by such pauses (dispatcher, admission and ticket waits),
 // plus construct/submit/shutdown cycles, roots injected while one worker
-// runs a long vertex (a wake must reach a worker that can run them), and
-// an injection-queue pop that loses the queue's lock (it must retry, not
-// report the queue empty).
+// runs a long vertex (a wake must reach a worker that can run them), an
+// injection-queue pop that loses the queue's lock (it must retry, not
+// report the queue empty), and runs whose vertices all pass through the
+// workers' slots (none may be stranded there).
 
 #include <gtest/gtest.h>
 
@@ -147,6 +148,51 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("ws", "private"),
                        ::testing::Values(std::size_t{1}, std::size_t{2},
                                          std::size_t{4})));
+
+// A worker holds the vertex it enqueued last in its slot, outside its
+// queue, and wakes no one for it: it runs that vertex next. Here every
+// body enqueues exactly one ready vertex (a k = 1 batch child), so every
+// vertex but the root passes through a slot and no enqueue wakes anyone.
+// Between some runs every worker blocks, so the root wakes a sleeper that
+// then runs the whole chain from its slot. A vertex stranded in a slot
+// hangs run(), which ctest's TIMEOUT turns into a failure.
+class HeldSlotParkWake
+    : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {};
+
+void one_ready_vertex_chain(std::atomic<std::uint64_t>* links, int left) {
+  links->fetch_add(1, std::memory_order_relaxed);
+  if (left == 0) return;
+  dag_engine* eng = dag_engine::current_engine();
+  vertex* next = nullptr;
+  eng->spawn_batch_vertices(dag_engine::current_vertex(), 1, &next);
+  next->body = [links, left] { one_ready_vertex_chain(links, left - 1); };
+  eng->add(next);
+}
+
+TEST_P(HeldSlotParkWake, ChainsOfOneReadyVertexPerBodyComplete) {
+  const auto& [sched, workers] = GetParam();
+  runtime rt({.workers = workers, .sched = sched});
+  constexpr int kRuns = 20000;
+  constexpr int kLinks = 8;
+  std::atomic<std::uint64_t> links{0};
+  for (int i = 0; i < kRuns; ++i) {
+    if (i % 64 == 0) {
+      std::this_thread::sleep_for(past_spin);
+    } else if (i % 4 == 0) {
+      spin_for(spin_bound - std::chrono::microseconds(4) +
+               std::chrono::nanoseconds(125 * (i / 4 % 64)));
+    }
+    rt.run([&links] { one_ready_vertex_chain(&links, kLinks); });
+  }
+  EXPECT_EQ(links.load(), std::uint64_t{kRuns} * (kLinks + 1));
+  EXPECT_EQ(rt.engine().live_vertices(), 0u);
+  EXPECT_GT(rt.sched().totals().parks, 0u) << "no worker ever blocked";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SchedulersByWorkers, HeldSlotParkWake,
+    ::testing::Combine(::testing::Values("ws", "private"),
+                       ::testing::Values(std::size_t{2}, std::size_t{4})));
 
 // --- the resident service ---------------------------------------------------
 

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "dag/future.hpp"
 #include "harness/workloads.hpp"
 #include "mem/epoch.hpp"
 #include "sched/chase_lev.hpp"
@@ -155,11 +156,12 @@ TEST_P(SchedulerWorkers, Indegree2Completes) {
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, SchedulerWorkers,
                          ::testing::Values(1, 2, 3, 4, 8));
 
-// The steal is made necessary: the worker that runs the root pops the
-// waiter first (LIFO) and spins in it until the setter has run, which only
-// another worker can do. Under private a victim inside a body never answers
-// a steal request, so this stays on ws. The waiter gives up after 10 s, so
-// a scheduler that never steals fails here instead of hanging.
+// The steal is made necessary: the worker that runs the root runs the
+// waiter first (it enqueued it last, so it holds it in its slot) and spins
+// in it until the setter has run, which only another worker can do. Under
+// private a victim inside a body never answers a steal request, so this
+// stays on ws. The waiter gives up after 10 s, so a scheduler that never
+// steals fails here instead of hanging.
 TEST(Scheduler, StealsHappenWithMultipleWorkers) {
   runtime rt(runtime_config{4, "dyn"});
   rt.sched().reset_totals();
@@ -209,6 +211,103 @@ TEST(Scheduler, CurrentWorkerIdIsMinusOneOutside) {
 // One scheduler switched from run() to service mode and back. After each
 // phase the scheduler's execution count equals the engine's, and
 // end_service() leaves nothing queued, running or live.
+// --- execution order on one worker ----------------------------------------
+//
+// One worker runs the vertex it enqueued last first (LIFO): a fork2 runs
+// its right child's whole subtree, then its left child's. The worker's slot
+// holds that newest vertex outside the queue, and these pin that it does
+// not change the order. Bodies record labels; with one worker they all run
+// on one thread, and run() returning publishes what they wrote.
+
+class OneWorkerOrder : public ::testing::TestWithParam<std::string> {
+ protected:
+  runtime rt{{.workers = 1, .counter = "dyn", .sched = GetParam()}};
+  std::vector<std::string> order;
+};
+
+std::string label(char kind, int i) { return kind + std::to_string(i); }
+
+void fork2_tree(std::vector<std::string>* out, int id, int depth) {
+  out->push_back(label('n', id));
+  if (depth == 0) return;
+  fork2([out, id, depth] { fork2_tree(out, 2 * id, depth - 1); },
+        [out, id, depth] { fork2_tree(out, 2 * id + 1, depth - 1); });
+}
+
+// Right child (enqueued last) first, each subtree whole.
+void lifo_tree(std::vector<std::string>* out, int id, int depth) {
+  out->push_back(label('n', id));
+  if (depth == 0) return;
+  lifo_tree(out, 2 * id + 1, depth - 1);
+  lifo_tree(out, 2 * id, depth - 1);
+}
+
+TEST_P(OneWorkerOrder, Fork2TreeRunsRightSubtreeFirst) {
+  auto* out = &order;
+  rt.run([out] { fork2_tree(out, 1, 4); });
+  std::vector<std::string> expect;
+  lifo_tree(&expect, 1, 4);
+  EXPECT_EQ(order, expect);
+}
+
+// Rung i: a finish block whose body forks two leaves, then its continuation,
+// which starts rung i + 1.
+void finish_ladder(std::vector<std::string>* out, int i, int rungs) {
+  finish_then(
+      [out, i] {
+        out->push_back(label('f', i));
+        fork2([out, i] { out->push_back(label('a', i)); },
+              [out, i] { out->push_back(label('b', i)); });
+      },
+      [out, i, rungs] {
+        out->push_back(label('t', i));
+        if (i + 1 < rungs) finish_ladder(out, i + 1, rungs);
+      });
+}
+
+TEST_P(OneWorkerOrder, FinishThenLadderRunsEachBlockBeforeItsContinuation) {
+  constexpr int kRungs = 4;
+  auto* out = &order;
+  rt.run([out] { finish_ladder(out, 0, kRungs); });
+  std::vector<std::string> expect;
+  for (int i = 0; i < kRungs; ++i) {
+    for (char kind : {'f', 'b', 'a', 't'}) expect.push_back(label(kind, i));
+  }
+  EXPECT_EQ(order, expect);
+}
+
+// Link i: the consumer side (enqueued last) registers first, then the
+// producer completes the future and the registered consumer starts link
+// i + 1.
+void future_chain(std::vector<std::string>* out, int i, int links) {
+  fork2_future<int>(
+      [out, i] {
+        out->push_back(label('p', i));
+        return i;
+      },
+      [out, i, links](future<int> f) {
+        out->push_back(label('c', i));
+        future_then(f, [out, links](int v) {
+          out->push_back(label('v', v));
+          if (v + 1 < links) future_chain(out, v + 1, links);
+        });
+      });
+}
+
+TEST_P(OneWorkerOrder, FutureThenChainRunsConsumerSideFirst) {
+  constexpr int kLinks = 4;
+  auto* out = &order;
+  rt.run([out] { future_chain(out, 0, kLinks); });
+  std::vector<std::string> expect;
+  for (int i = 0; i < kLinks; ++i) {
+    for (char kind : {'c', 'p', 'v'}) expect.push_back(label(kind, i));
+  }
+  EXPECT_EQ(order, expect);
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedulers, OneWorkerOrder,
+                         ::testing::Values("ws", "private"));
+
 class SchedulerLifecycle : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SchedulerLifecycle, RunThenServiceThenRunKeepsTheLedgersEqual) {
