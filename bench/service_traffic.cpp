@@ -16,16 +16,19 @@
 //
 // Metrics: completed submissions/s, plus the three service latency
 // distributions that separate where time goes:
-//   queue_p*   — submit → dispatch (admission + inbox delay)
-//   exec_p*    — dispatch → completion (dag execution)
+//   queue_p*   — submit → launcher start (injection queue + worker wake)
+//   exec_p*    — launcher start → completion (dag execution)
 //   sojourn_p* — submit → completion (what a client experiences); this is
 //                the record's lat_p50/p95/p99_ms.
+// The service has no thread of its own, so each client pushes its
+// launchers into the scheduler's mutexed injection queue itself.
 // Service counters (submitted/admitted/completed/blocked/idle_trims/...)
 // ride along in `extra` so the CI gate can assert conservation
-// (completed == submitted - rejected) and that the idle trim fired. Under
-// back-to-back reps the service is never quiet for long, so after the last
-// rep, outside the timed window, each config waits up to 200 ms for its
-// first idle trim (idle_trim_after is 1 ms here).
+// (completed == submitted - rejected) and that the quiescent trim worked.
+// The service trims only when asked: after the last rep, outside the timed
+// window, each config calls dag_service::trim_pools() (retrying for up to
+// 200 ms, since the last worker may still be leaving its final vertex), and
+// idle_trims/slabs_released count that explicit trim.
 //
 // Busy trim: the service runs with an aggressive busy_trim_every cadence
 // (knob -busytrim, default 32 here vs the production default 256) and a
@@ -37,7 +40,7 @@
 // and whenever that cadence is nonzero the CI gate asserts that every
 // record ran busy trims and that under sustained load some slabs actually
 // made the full retire -> 2-epoch-delay -> reclaim trip while submissions
-// were in flight (the dispatcher never trims outside its dispatch loop).
+// were in flight (a busy trim runs only in an admitted submit() call).
 // Submissions are built and freed on the workers, so without the burst the
 // registry holds about one slab per pool; even with it, the cells the
 // workers' magazines keep pin most slabs, and some documents record no
@@ -48,7 +51,7 @@
 // Scale knobs: -n / SPDAG_N (submissions per repetition, default 1<<12),
 // -proc / SPDAG_PROC (workers), -runs / SPDAG_RUNS, -arrivalns (mean
 // inter-arrival per client in ns, default 20000), -cap (max_inflight,
-// default 256), -busytrim (busy-trim dispatch cadence, 0 disables).
+// default 256), -busytrim (busy-trim submission cadence, 0 disables).
 // Telemetry: -json <path> / SPDAG_JSON writes one record per config
 // (scripts/perf_smoke_gate.py --service consumes it).
 
@@ -137,7 +140,6 @@ void register_config(const std::string& sched_spec, std::size_t clients,
     cfg.rt.alloc = "pool:4096:256";  // see file comment: busy-trim geometry
     cfg.max_inflight = cap;
     cfg.on_full = admission_policy::block;
-    cfg.idle_trim_after = std::chrono::milliseconds(1);
     cfg.busy_trim_every = busy_trim;
     dag_service svc(cfg);
     obs::tracer::instance().reset();  // summary covers this config only
@@ -171,7 +173,7 @@ void register_config(const std::string& sched_spec, std::size_t clients,
     }
     const auto trim_deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
-    while (svc.stats().idle_trims == 0 &&
+    while (!svc.trim_pools() &&
            std::chrono::steady_clock::now() < trim_deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }

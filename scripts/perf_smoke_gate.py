@@ -18,13 +18,14 @@ With --service, additionally sanity-gates the dag_service traffic bench
 (BENCH_service_traffic.json): every service/<sched>/clients:<c> record must
 conserve submissions (completed == submitted - rejected, completed > 0),
 report a finite positive sojourn p99 and a positive completion rate, and
-show the idle trim firing (extra.idle_trims >= 1; the bench waits for it
-after its timed reps), with some slab released across the document
+show the quiescent trim working (extra.idle_trims >= 1: the bench calls
+dag_service::trim_pools() after its timed reps and counts only a call
+that trimmed), with some slab released across the document
 (extra.slabs_released). When the records ran with a busy-trim cadence (extra.busy_trim_every > 0), each
 must also show busy trims actually firing, and ACROSS the document some
 slabs must have made the full retire -> reclaim trip — the
-busy-trim-under-load acceptance (the dispatcher only trims inside its
-dispatch loop, so a nonzero count proves reclamation under live traffic).
+busy-trim-under-load acceptance (a busy trim runs only inside an admitted
+submit() call, so a nonzero count proves reclamation under live traffic).
 This is a correctness gate, not a throughput gate — service rates depend on
 the offered arrival schedule, so absolute numbers are not pinned.
 
@@ -171,7 +172,7 @@ def service_gate(path):
             busy_trims = extra.get("busy_trims", 0)
             total_retired += extra.get("slabs_retired", 0)
             total_reclaimed += extra.get("slabs_reclaimed", 0)
-            # The cadence (busy_trim_every << dispatch count) guarantees
+            # The cadence (busy_trim_every << submission count) guarantees
             # trims per record; slab yield varies with traffic shape, so
             # the retire/reclaim assertion is document-wide, below.
             if busy_trims <= 0:

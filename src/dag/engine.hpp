@@ -198,13 +198,12 @@ class dag_engine {
 
   // Service-facing checked trim: like trim_pools(), but a mistimed call is
   // a no-op instead of an assert — returns false (without touching the
-  // pools) when the engine is not quiescent, so an idle timer that loses a
-  // race with an arriving submission backs off harmlessly and retries
-  // later. The caller must still prevent NEW work from entering between the
-  // check and the trim (the dag_service calls this from its dispatcher, the
-  // only thread that injects work); the check turns a mistimed fire into a
-  // clean refusal, it does not license concurrent allocation. On success `*slabs_released`
-  // (if non-null) receives the slab count handed back upstream.
+  // pools) when the engine is not quiescent. The caller must still prevent
+  // NEW work from entering between the check and the trim
+  // (dag_service::trim_pools closes admission first); the check turns a
+  // mistimed call into a clean refusal, it does not license concurrent
+  // allocation. On success `*slabs_released` (if non-null) receives the
+  // slab count handed back upstream.
   bool try_trim_pools(std::size_t* slabs_released = nullptr);
 
   // Live-mode trim: legal while this engine (and anything sharing its

@@ -31,8 +31,8 @@
 //   * Scheduler workers pin for their whole work loop and refresh() at the
 //     top of each iteration (no pointer survives an iteration boundary);
 //     they unpin across parks so sleepers never stall reclamation.
-//   * The dag_service dispatcher does not pin: it reads no cell of the
-//     runtime's pools, and the trims it runs pin what they walk.
+//   * dag_service clients do not pin: they read no cell of the runtime's
+//     pools, and the trims they run pin what they walk.
 //   * Pool-internal: slab_cache pins around global-recycle-list pops (the
 //     only place a non-worker client thread dereferences recycled cells).
 //   * pin()/unpin() nest (per-thread depth); a thread without a slot pins

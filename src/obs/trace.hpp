@@ -99,8 +99,8 @@ enum event_id : std::uint16_t {
   // separable from execution time because admit carries the former and
   // complete the full sojourn: exec = sojourn - queueing.
   ev_submit,          // dag submitted to a dag_service (client thread)
-  ev_admit,           // submission dispatched into the scheduler;
-                      // b = queueing delay in µs (submit -> dispatch)
+  ev_admit,           // submission's launcher started on a worker;
+                      // b = queueing delay in µs (submit -> start)
   ev_reject,          // submission refused (admission cap or shutdown)
   ev_submit_complete, // submission's final vertex ran;
                       // b = sojourn in µs (submit -> complete)

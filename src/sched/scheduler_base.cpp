@@ -24,7 +24,12 @@ int scheduler_base::my_worker_id() const noexcept {
 }
 
 void scheduler_base::fifo::push(vertex* v) {
-  std::lock_guard<std::mutex> lock(mu);
+  // A pusher retries try_lock as pop() does, for the same reason: a
+  // service client pushes right as a completion lets it in, which is when
+  // that worker pops, and a pusher asleep on the mutex would make the
+  // worker's unlock pay a futex wake before it runs the vertex.
+  while (!mu.try_lock()) cpu_relax();
+  std::lock_guard<std::mutex> lock(mu, std::adopt_lock);
   items.push_back(v);
   // seq_cst, like park()'s read of it: see the argument above park().
   size.fetch_add(1, std::memory_order_seq_cst);
@@ -164,10 +169,10 @@ void scheduler_base::execute(std::size_t id, vertex* v) {
   // deque push, or, once execute() has returned, the transfer store in
   // private's communicate() that gives a child to a thief), the depart that
   // makes a fin ready, the service's inflight_ decrement in a completion
-  // body. A reader that learned of any of them (run() through done_, the
-  // service through inflight_ == 0) therefore reads this true, or the
-  // release store of false after execute(), which also publishes the
-  // vertex's recycle. So a scan that finds every flag false proves that no
+  // body or a rejecting launcher. A reader that learned of any of them
+  // (run() through done_, the service through inflight_ == 0) therefore
+  // reads this true, or the release store of false after execute(), which
+  // also publishes the vertex's recycle. So a scan that finds every flag false proves that no
   // execute() the reader depends on is still running.
   row& me = rows_[id]->value;
   me.busy.store(true, std::memory_order_relaxed);
@@ -217,7 +222,7 @@ vertex* scheduler_base::idle(std::size_t id) {
 // calls unpark_some(), which reads sleepers_ and, when it is non-zero,
 // moves one registered word from 1 to 0 and notifies it.
 //
-//  * External injection (inject(): run()'s root, the service dispatcher's
+//  * External injection (inject(): run()'s root, a service client's
 //    launchers) bumps the fifo's size with a seq_cst RMW, and unpark_some()
 //    then reads sleepers_ seq_cst. The sleeper bumps sleepers_ seq_cst and
 //    then reads the size seq_cst, and does not block unless it is zero.

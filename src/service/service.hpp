@@ -17,19 +17,15 @@
 //     (scheduler_base::begin_service): workers execute whatever the engine
 //     hands them, with no per-run stop vertex — each submission's final
 //     vertex instead carries a completion body that fulfills its ticket.
-//   * an intrusive inbox: client threads push their ticket_state onto one
-//     atomic list head with a single CAS (the ticket's own `next` link is
-//     the node), and only a push that finds the inbox empty can have a
-//     dispatcher to wake. max_inflight already bounds the list's length.
-//   * a dispatcher thread, a relay: it takes the whole inbox with one
-//     exchange, reverses it into arrival order, stamps and records each
-//     ticket, and injects the ticket's embedded launcher vertex through
-//     the scheduler's external enqueue path. It allocates nothing from the
-//     runtime's pools: the worker that pops a launcher builds the
-//     submission's (root, final) pair (dag_engine::chain on a vertex with
-//     no fin), so the pair's cells are allocated from that worker's
-//     magazines and, unless a thief takes part of the dag, freed back to
-//     them — the in-counter's bookkeeping stays on the core that uses it.
+//   * no thread of its own. An admitted client stamps its ticket and
+//     injects the ticket's embedded launcher vertex through the scheduler's
+//     external enqueue path, the one run() uses for its root, so a
+//     submission crosses one hand-off and wakes at most one worker. The
+//     worker that pops a launcher builds the submission's (root, final)
+//     pair (dag_engine::chain on a vertex with no fin), so the pair's cells
+//     are allocated from that worker's magazines and, unless a thief takes
+//     part of the dag, freed back to them — the in-counter's bookkeeping
+//     stays on the core that uses it.
 //   * a ticket pool of its own (not the runtime's registry), so client
 //     threads allocate and free tickets without touching any pool a trim
 //     releases.
@@ -37,23 +33,21 @@
 //     complete; past the cap submit() blocks (default) or rejects, per
 //     admission_policy. Both outcomes are visible in stats().
 //   * every wait spins for spin_bound before it sleeps (util/spin_wait.hpp):
-//     the dispatcher's wait for an empty inbox to fill, a blocked
-//     submitter's wait for a slot, and ticket::wait(). At moderate rates a
-//     submission therefore crosses no futex wake-up at all: the dispatcher
-//     and an idle worker are still spinning when it arrives, and the
-//     client's wait ends within the spin. A sleeping dispatcher waits on
-//     dispatch_cv_, with the idle trim's timeout while a trim is due, and
-//     a blocked submitter on admit_cv_.
-//   * an idle timer: when the service has been quiet for idle_trim_after,
-//     the dispatcher re-verifies quiescence and calls
-//     dag_engine::try_trim_pools() — so slab memory retained by a burst
-//     drains back upstream between bursts instead of being held until
-//     destruction. Why that needs no lock is argued in try_idle_trim().
-//   * a BUSY trim: every busy_trim_every dispatches the dispatcher calls
-//     dag_engine::trim_pools_live(), which needs no quiescence window at
-//     all — it retires fully-free slabs into epoch limbo
-//     (src/mem/epoch.hpp) and frees them after the 2-epoch delay. A service
-//     under sustained traffic therefore returns burst memory while
+//     a blocked submitter's wait for a slot, and ticket::wait(). At
+//     moderate rates a submission therefore crosses no futex wake-up at
+//     all: an idle worker is still spinning when it arrives, and the
+//     client's wait ends within the spin. A blocked submitter sleeps on
+//     admit_cv_.
+//   * a quiescent trim on request: trim_pools() flushes the magazines and
+//     returns fully-free slabs upstream, so slab memory retained by a burst
+//     can drain back between bursts, as runtime::trim_pools() does between
+//     run()s. It closes admission while it runs; why that excludes every
+//     other user of the pools is argued above its definition.
+//   * a BUSY trim: every busy_trim_every submissions, the admitted client
+//     calls dag_engine::trim_pools_live() before it injects, which needs no
+//     quiescence window at all — it retires fully-free slabs into epoch
+//     limbo (src/mem/epoch.hpp) and frees them after the 2-epoch delay. A
+//     service under sustained traffic therefore returns burst memory while
 //     submissions are still in flight, instead of waiting for a quiet
 //     period the workload may never offer. The epoch protocol, not
 //     exclusion, is what makes this trim safe.
@@ -65,16 +59,16 @@
 // Observability: submissions emit the ev_submit / ev_admit / ev_reject /
 // ev_submit_complete instants and maintain the g_inflight gauge
 // (src/obs/trace.hpp), and the service keeps three lock-free latency
-// histograms — queueing (submit→dispatch), execution (dispatch→complete)
-// and sojourn (submit→complete) — so bench/service_traffic.cpp can separate
-// time spent waiting for admission+dispatch from time spent computing.
+// histograms — queueing (submit→launcher start), execution (launcher
+// start→complete) and sojourn (submit→complete) — so
+// bench/service_traffic.cpp can separate time spent waiting for admission
+// and a worker from time spent computing.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "dag/vertex.hpp"
@@ -99,13 +93,9 @@ struct service_config {
   std::size_t max_inflight = 1024;
   admission_policy on_full = admission_policy::block;
 
-  // Quiet time before the dispatcher attempts an idle pool trim;
-  // zero disables the idle timer entirely.
-  std::chrono::milliseconds idle_trim_after{2};
-
-  // Dispatch-count cadence of the live (epoch-based) busy trim: every this
-  // many dispatches the dispatcher calls dag_engine::trim_pools_live().
-  // Zero disables it.
+  // Submission-count cadence of the live (epoch-based) busy trim: every
+  // this many submissions, the submitting client calls
+  // dag_engine::trim_pools_live() once it is admitted. Zero disables it.
   std::size_t busy_trim_every = 256;
 };
 
@@ -115,11 +105,11 @@ struct service_config {
 // completed == admitted.
 struct service_stats {
   std::uint64_t submitted = 0;       // submit() calls
-  std::uint64_t admitted = 0;        // dispatched into the scheduler
+  std::uint64_t admitted = 0;        // launchers that started their job
   std::uint64_t rejected = 0;        // refused at the door or at shutdown
   std::uint64_t completed = 0;       // final vertices that ran
   std::uint64_t blocked = 0;         // submits that had to wait for a slot
-  std::uint64_t idle_trims = 0;      // successful idle-timer pool trims
+  std::uint64_t idle_trims = 0;      // trim_pools() calls that trimmed
   std::uint64_t slabs_released = 0;  // slabs those trims returned upstream
   std::uint64_t busy_trims = 0;      // live (epoch) trims run under traffic
   std::uint64_t slabs_retired = 0;   // slabs busy trims parked in epoch limbo
@@ -131,25 +121,22 @@ struct service_stats {
 
 namespace detail {
 
-// Shared completion record behind a ticket, the inbox node that carries
-// it to the dispatcher, and the vertex that launches it on a worker.
-// Pooled; two references — the client's ticket and the service (held until
-// the completion or rejection path has fulfilled it).
+// Shared completion record behind a ticket, and the vertex that launches
+// it on a worker. Pooled; two references — the client's ticket and the
+// service (held until the completion or rejection path has fulfilled it).
 struct ticket_state {
   enum : std::uint32_t { pending, completed, rejected };
 
   dag_service* svc = nullptr;
-  ticket_state* next = nullptr;  // inbox link; published by the push's CAS
-  vertex_body job;               // moved into the root vertex at launch
-  // What the dispatcher injects: an external vertex whose body runs on the
-  // worker that pops it and chains the job and the completion
-  // (dag_service::submit_body).
+  vertex_body job;  // moved into the root vertex at launch
+  // What the client injects: an external vertex whose body runs on the
+  // worker that pops it (dag_service::launch).
   vertex launcher;
   std::atomic<int> refs{2};
   // Clients wait() on it (util/spin_wait.hpp); set once.
   std::atomic<std::uint32_t> state{pending};
   std::chrono::steady_clock::time_point submit_tp;
-  std::chrono::steady_clock::time_point dispatch_tp;
+  std::chrono::steady_clock::time_point start_tp;  // launcher start
 };
 
 }  // namespace detail
@@ -198,8 +185,8 @@ class dag_service {
  public:
   enum class drain_mode {
     drain,   // complete everything already admitted, then stop
-    reject,  // dispatch nothing further; queued submissions are rejected
-             // (already-dispatched dags still run to completion)
+    reject,  // start nothing further: launchers that have not started
+             // reject their submissions (started dags still complete)
   };
 
   explicit dag_service(service_config cfg = {});
@@ -223,6 +210,14 @@ class dag_service {
   // until the service is fully stopped. After shutdown, submit() rejects.
   void shutdown(drain_mode mode = drain_mode::drain);
 
+  // Quiescent pool trim, callable from any thread: flushes the runtime's
+  // magazines and returns fully-free slabs upstream (dag_engine::
+  // try_trim_pools). Returns false, touching nothing, while a submission
+  // is in flight, while another trim_pools() runs, or once shutdown has
+  // begun. A submit() that arrives during the trim waits for it; it is
+  // never rejected for it. Counted in stats().idle_trims/slabs_released.
+  bool trim_pools();
+
   service_stats stats() const;
 
   // Latency distributions (ns), recorded per submission. Lock-free reads;
@@ -240,15 +235,10 @@ class dag_service {
   using clock = std::chrono::steady_clock;
 
   bool admit();
-  detail::ticket_state* take_inbox() noexcept;
-  void dispatch(detail::ticket_state* t);
-  void reject_queued(detail::ticket_state* t);
+  void launch(detail::ticket_state* t);
   void complete(detail::ticket_state* t);
   void resolve(detail::ticket_state* t, std::uint32_t outcome) noexcept;
-  void dispatcher_main();
-  void wake_dispatcher();
-  bool try_idle_trim();
-  void maybe_busy_trim();
+  void busy_trim();
   void release_ref(detail::ticket_state* t) noexcept;
 
   service_config cfg_;
@@ -257,40 +247,21 @@ class dag_service {
   runtime rt_;
 
   // The fields below come in groups, each starting a cache line, so that
-  // clients, the dispatcher and the workers do not write one another's
-  // lines on every submission.
+  // clients and the workers do not write one another's lines on every
+  // submission.
 
-  // Submitted tickets, newest first (see the file comment).
-  alignas(cache_line_size) std::atomic<detail::ticket_state*> inbox_{nullptr};
-
-  // Admission. inflight_ is the only gate state; a blocked submitter
-  // spins, then sleeps on admit_cv_, which every completion notifies.
+  // Admission. inflight_ and trimming_ are the gate state; a blocked
+  // submitter spins, then sleeps on admit_cv_, which every completion and
+  // the end of every trim notify. trimming_ is true while trim_pools()
+  // holds the door closed.
   alignas(cache_line_size) std::atomic<std::size_t> inflight_{0};
   std::atomic<std::size_t> peak_inflight_{0};
+  std::atomic<bool> trimming_{false};
   alignas(cache_line_size) std::mutex admit_mu_;
   std::condition_variable admit_cv_;
 
-  // True while the dispatcher sleeps on dispatch_cv_ (announced under
-  // dispatch_mu_); wake_dispatcher() clears it and notifies. The drain
-  // poll after shutdown waits on dispatch_cv_ unannounced.
-  alignas(cache_line_size) std::atomic<bool> dispatcher_asleep_{false};
-  std::mutex dispatch_mu_;
-  std::condition_variable dispatch_cv_;
-  std::thread dispatcher_;
-  // True once try_idle_trim() found the pools settled and nothing has been
-  // dispatched since: the next sleep needs no timer. Dispatcher-private.
-  bool trim_settled_ = false;
-  // retained() observed right after the last idle trim; the timer re-arms
-  // only when the registry's retained count moves off this value (a trim
-  // can leave a residue — free cells in slabs pinned by live neighbors —
-  // so "retained == 0" is not a reachable idle state). Dispatcher-private.
-  std::uint64_t trimmed_retained_ = ~std::uint64_t{0};
-  // Dispatches since the last busy trim (dispatcher-private cadence).
-  std::size_t dispatches_since_busy_trim_ = 0;
-
   // Shutdown. stopping_ elects the mode-setter; stop_ is what admit() and
-  // the dispatcher read (stored after reject_pending_, so a reader that
-  // sees stop_ sees the mode).
+  // trim_pools() read, and reject_pending_ what a launcher reads.
   alignas(cache_line_size) std::atomic<bool> stopping_{false};
   std::atomic<bool> stop_{false};
   std::atomic<bool> reject_pending_{false};
@@ -298,17 +269,17 @@ class dag_service {
   bool ended_service_ = false;  // guarded by join_mu_
 
   // Stats (relaxed monotone counters), grouped by the thread that writes
-  // them: clients, the workers, the dispatcher.
+  // them: clients (the trims included), the final vertices, the launchers.
   alignas(cache_line_size) std::atomic<std::uint64_t> n_submitted_{0};
   std::atomic<std::uint64_t> n_blocked_{0};
   std::atomic<std::uint64_t> n_rejected_{0};
-  alignas(cache_line_size) std::atomic<std::uint64_t> n_completed_{0};
-  alignas(cache_line_size) std::atomic<std::uint64_t> n_admitted_{0};
   std::atomic<std::uint64_t> n_idle_trims_{0};
   std::atomic<std::uint64_t> n_slabs_released_{0};
   std::atomic<std::uint64_t> n_busy_trims_{0};
   std::atomic<std::uint64_t> n_slabs_retired_{0};
   std::atomic<std::uint64_t> n_slabs_reclaimed_{0};
+  alignas(cache_line_size) std::atomic<std::uint64_t> n_completed_{0};
+  alignas(cache_line_size) std::atomic<std::uint64_t> n_admitted_{0};
 
   latency_histogram queue_hist_;
   alignas(cache_line_size) latency_histogram exec_hist_;

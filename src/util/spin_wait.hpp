@@ -1,20 +1,18 @@
 #pragma once
 // Spin briefly, then block precisely. Every idle thread in the runtime
-// (workers, run()'s caller, the service's dispatcher, blocked submitters
-// and ticket waiters) first polls its condition with spin_until for
-// spin_bound. A wait that ends within the bound never pays a sleep, and
-// one that does not costs at most spin_bound of CPU before the thread
-// blocks.
+// (workers, run()'s caller, blocked submitters and ticket waiters) first
+// polls its condition with spin_until for spin_bound. A wait that ends
+// within the bound never pays a sleep, and one that does not costs at most
+// spin_bound of CPU before the thread blocks.
 //
 // wait_while() adds the blocking half on a 32-bit futex word (C++20
 // atomic::wait) that the waker changes and then notifies: run()'s caller
 // and ticket waiters use it, and an idle worker blocks on its own word the
 // same way (scheduler_base::park()). No such wait has a timeout, so each
 // caller argues that its waker cannot miss a sleeper; the argument for
-// workers is in scheduler_base.cpp. The service's dispatcher and blocked
-// submitters block on condition variables after the spin instead: the
-// dispatcher's sleep may need the idle trim's timeout, and admission waits
-// on a predicate over two atomics.
+// workers is in scheduler_base.cpp. The service's blocked submitters block
+// on a condition variable after the spin instead: admission waits on a
+// predicate over three atomics.
 
 #include <atomic>
 #include <chrono>

@@ -160,7 +160,6 @@ TEST(EpochReclaimStress, ServiceBusyTrimUnderMultiClientTraffic) {
   // (default geometry strands cells in magazines and trims come up empty).
   cfg.rt.alloc = "pool:4096:256";
   cfg.max_inflight = 64;
-  cfg.idle_trim_after = std::chrono::milliseconds(0);  // busy trim only
   cfg.busy_trim_every = 8;  // aggressive cadence: trim while clearly busy
   dag_service svc(cfg);
 
@@ -197,7 +196,7 @@ TEST(EpochReclaimStress, ServiceBusyTrimUnderMultiClientTraffic) {
   EXPECT_EQ(s.submitted, n);
   EXPECT_EQ(s.completed, n);
   EXPECT_EQ(s.rejected, 0u);
-  // n dispatches at a cadence of 8 means the busy trim must have fired many
+  // n submissions at a cadence of 8 means the busy trim must have fired many
   // times while submissions were in flight.
   EXPECT_GT(s.busy_trims, 0u);
   EXPECT_GE(s.slabs_retired, s.slabs_reclaimed);

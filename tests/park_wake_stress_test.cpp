@@ -5,7 +5,8 @@
 // and worker count, some after pauses long enough that every worker really
 // blocks and some timed to land as the workers' spins run out, and a
 // resident service whose clients submit
-// bursts separated by such pauses (dispatcher, admission and ticket waits),
+// bursts separated by such pauses (admission and ticket waits, with and
+// without a concurrent trimmer),
 // plus construct/submit/shutdown cycles, roots injected while one worker
 // runs a long vertex (a wake must reach a worker that can run them), an
 // injection-queue pop that loses the queue's lock (it must retry, not
@@ -198,7 +199,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 struct service_case {
   std::string sched;
-  bool idle_trim;  // the default idle_trim_after, or 0 (timer off)
+  bool trimmer;  // a thread calls trim_pools() throughout, or none does
 };
 
 class ServiceParkWake : public ::testing::TestWithParam<service_case> {};
@@ -207,9 +208,33 @@ service_config two_workers(const service_case& c) {
   service_config cfg;
   cfg.rt.workers = 2;
   cfg.rt.sched = c.sched;
-  if (!c.idle_trim) cfg.idle_trim_after = std::chrono::milliseconds(0);
   return cfg;
 }
+
+// When `on`, calls svc.trim_pools() every past_spin until destroyed, so
+// submitters meet a closed door and shutdown() meets a running trim.
+class trimmer {
+ public:
+  trimmer(dag_service& svc, bool on) {
+    if (!on) return;
+    thread_ = std::thread([this, &svc] {
+      while (!stop_.load(std::memory_order_acquire)) {
+        svc.trim_pools();
+        std::this_thread::sleep_for(past_spin);
+      }
+    });
+  }
+  ~trimmer() {
+    stop_.store(true, std::memory_order_release);
+    if (thread_.joinable()) thread_.join();
+  }
+  trimmer(const trimmer&) = delete;
+  trimmer& operator=(const trimmer&) = delete;
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
 
 TEST_P(ServiceParkWake, BurstsSeparatedByPausesConserve) {
   constexpr int kClients = 4;
@@ -221,6 +246,7 @@ TEST_P(ServiceParkWake, BurstsSeparatedByPausesConserve) {
   std::atomic<std::uint64_t> ok_waits{0};
   {
     dag_service svc(cfg);
+    trimmer trims(svc, GetParam().trimmer);
     std::vector<std::thread> clients;
     for (int c = 0; c < kClients; ++c) {
       clients.emplace_back([&] {
@@ -266,6 +292,7 @@ TEST_P(ServiceParkWake, ConstructSubmitShutdownCycles) {
   std::uint64_t completed = 0;
   for (int cycle = 0; cycle < 200; ++cycle) {
     dag_service svc(two_workers(GetParam()));
+    trimmer trims(svc, GetParam().trimmer);
     // Alternate between letting the service fall asleep before the first
     // submission and submitting at once.
     if (cycle % 2 == 0) std::this_thread::sleep_for(past_spin);
@@ -289,14 +316,15 @@ TEST_P(ServiceParkWake, ConstructSubmitShutdownCycles) {
   EXPECT_EQ(completed, 800u);
 }
 
-// Four workers; one runs a long vertex while the dispatcher injects roots
-// beside it, and each root must run on another worker. Under private one
+// Four workers; one runs a long vertex while the client injects the
+// launchers of further submissions beside it, and each must run on
+// another worker, where it builds and runs its root. Under private one
 // idle worker can wait out the whole long vertex in a steal request to it,
-// so a wake must reach a worker that takes the root from the injection
+// so a wake must reach a worker that takes the launcher from the injection
 // queue before it goes stealing, even when it loses the queue's lock. The
 // long vertex starts as the other workers' spins run out (swept in 125 ns
 // steps, as in RunParkWake), so some of them are registering as sleepers
-// just then. A stranded root would wait for the long vertex, which gives
+// just then. A stranded launcher would wait for the long vertex, which gives
 // up after `patience`: the test fails instead of hanging.
 class LongVertexParkWake : public ::testing::TestWithParam<std::string> {};
 
@@ -396,13 +424,13 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, InjectionPopRetries,
                          ::testing::Values("ws", "private"));
 
 INSTANTIATE_TEST_SUITE_P(
-    SchedulersByIdleTrim, ServiceParkWake,
+    SchedulersByTrimmer, ServiceParkWake,
     ::testing::Values(service_case{"ws", false}, service_case{"ws", true},
                       service_case{"private", false},
                       service_case{"private", true}),
     [](const ::testing::TestParamInfo<service_case>& info) {
       return info.param.sched +
-             (info.param.idle_trim ? "_idle_trim" : "_no_idle_trim");
+             (info.param.trimmer ? "_trimmer" : "_no_trimmer");
     });
 
 }  // namespace

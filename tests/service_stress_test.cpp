@@ -1,8 +1,9 @@
 // Adversarial dag_service concurrency (stress lane; CI re-runs this under
 // TSan and ASan): a multi-client completion storm over both schedulers with
-// a small admission cap forcing constant blocking, idle trims firing while
-// clients allocate and free tickets (the service's trim-safety argument:
-// tickets live outside the registry the trim releases), and a thread-slot
+// a small admission cap forcing constant blocking, a trimmer thread calling
+// trim_pools() while clients submit and free tickets (the service's
+// trim-safety argument: a trim closes admission, and tickets live outside
+// the registry it releases), and a thread-slot
 // exhaustion run where more concurrently-live client threads than
 // mem::max_thread_slots hammer submit() — over-cap threads must fall back
 // to uncached allocation gracefully (src/mem/thread_slot.hpp), never fail.
@@ -33,7 +34,6 @@ TEST_P(ServiceStressTest, CompletionStormUnderTightAdmission) {
   cfg.rt.sched = GetParam();
   cfg.max_inflight = 16;  // far below the offered load: admission must block
   cfg.on_full = admission_policy::block;
-  cfg.idle_trim_after = std::chrono::milliseconds(1);
   dag_service svc(cfg);
 
   std::atomic<std::uint64_t> leaves{0};
@@ -81,22 +81,31 @@ TEST_P(ServiceStressTest, CompletionStormUnderTightAdmission) {
   EXPECT_EQ(s.inflight, 0u);
 }
 
-TEST_P(ServiceStressTest, IdleTrimsRaceTicketTraffic) {
-  // Clients submit small bursts, wait, drop their tickets and sleep about
-  // 2 ms, out of phase with each other, so the 1 ms idle timer fires in the
-  // quiet gaps while other clients are mid-submit or mid-release. Each
-  // client keeps going until the service has counted kTrims idle trims
-  // (bounded by kMaxRounds), so the trims ran while clients still cycled.
+TEST_P(ServiceStressTest, TrimsRaceTicketTraffic) {
+  // A trimmer thread calls trim_pools() every 100 us while clients submit
+  // small bursts, wait, drop their tickets and sleep about 2 ms, out of
+  // phase with each other. So trims land in the quiet gaps while other
+  // clients are mid-submit or mid-release, and submits arrive while a trim
+  // holds admission closed. Each client keeps going until the trimmer has
+  // counted kTrims successful trims (bounded by kMaxRounds), so the trims
+  // ran while clients still cycled.
   constexpr int kClients = 4;
-  constexpr int kMinRounds = 20;
+  constexpr int kMinRounds = 60;
   constexpr int kMaxRounds = 1000;
-  constexpr std::uint64_t kTrims = 3;
+  constexpr std::uint64_t kTrims = 20;
   service_config cfg;
   cfg.rt.workers = 2;
   cfg.rt.sched = GetParam();
-  cfg.idle_trim_after = std::chrono::milliseconds(1);
   dag_service svc(cfg);
 
+  std::atomic<std::uint64_t> trims{0};
+  std::atomic<bool> clients_done{false};
+  std::thread trimmer([&] {
+    while (!clients_done.load(std::memory_order_acquire)) {
+      if (svc.trim_pools()) trims.fetch_add(1, std::memory_order_relaxed);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
   std::atomic<std::uint64_t> leaves{0};
   std::atomic<std::uint64_t> ok_waits{0};
   std::vector<std::thread> clients;
@@ -108,7 +117,10 @@ TEST_P(ServiceStressTest, IdleTrimsRaceTicketTraffic) {
       std::uniform_int_distribution<int> sleep_us(1500, 2500);
       std::vector<ticket> tickets;
       for (int round = 0; round < kMaxRounds; ++round) {
-        if (round >= kMinRounds && svc.stats().idle_trims >= kTrims) break;
+        if (round >= kMinRounds &&
+            trims.load(std::memory_order_relaxed) >= kTrims) {
+          break;
+        }
         const int n = burst_len(rng);
         for (int i = 0; i < n; ++i) {
           tickets.push_back(svc.submit([&leaves] {
@@ -127,12 +139,14 @@ TEST_P(ServiceStressTest, IdleTrimsRaceTicketTraffic) {
         for (auto& t : tickets) {
           if (t.wait()) ok_waits.fetch_add(1, std::memory_order_relaxed);
         }
-        tickets.clear();  // the final ticket releases race the idle timer
+        tickets.clear();  // the final ticket releases race the trimmer
         std::this_thread::sleep_for(std::chrono::microseconds(sleep_us(rng)));
       }
     });
   }
   for (auto& th : clients) th.join();
+  clients_done.store(true, std::memory_order_release);
+  trimmer.join();
 
   const auto s = svc.stats();
   EXPECT_EQ(s.submitted, ok_waits.load());
@@ -141,7 +155,8 @@ TEST_P(ServiceStressTest, IdleTrimsRaceTicketTraffic) {
   EXPECT_EQ(s.rejected, 0u);
   EXPECT_EQ(leaves.load(), 3 * s.completed);
   EXPECT_EQ(s.inflight, 0u);
-  EXPECT_GE(s.idle_trims, 1u);
+  EXPECT_GE(trims.load(), kTrims);
+  EXPECT_EQ(s.idle_trims, trims.load());
   EXPECT_GE(s.slabs_released, 1u);
 }
 

@@ -1,15 +1,17 @@
 // dag_service semantics across both schedulers: submit/wait round trips,
-// arrival-order dispatch through the inbox, worker-side builds (no remote
-// frees on a one-worker service), exactly-once completion under
-// concurrent clients, admission backpressure (block and reject), shutdown
-// drain/reject conservation, the idle-timer pool trim (with tickets kept
-// out of the registry it trims), and the checked try_trim_pools no-op
-// contract.
+// no thread beyond the workers, arrival-order starts through the
+// scheduler's injection queue, worker-side builds (no remote frees on a
+// one-worker service), exactly-once completion under concurrent clients,
+// admission backpressure (block and reject), shutdown drain/reject
+// conservation (a reject shutdown reaches launchers that have not
+// started), trim_pools() between bursts (with tickets kept out of the
+// registry it trims), and the checked try_trim_pools no-op contract.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,7 +45,47 @@ bool eventually(Pred pred, std::chrono::milliseconds deadline = 5000ms) {
   return pred();
 }
 
+// Threads of this process, settled: a thread joined a moment ago may still
+// be listed for a few microseconds.
+std::size_t settled_thread_count() {
+  const auto count = [] {
+    std::size_t n = 0;
+    for (const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      static_cast<void>(task);
+      ++n;
+    }
+    return n;
+  };
+  std::size_t n = count();
+  for (;;) {
+    std::this_thread::sleep_for(1ms);
+    const std::size_t again = count();
+    if (again == n) return n;
+    n = again;
+  }
+}
+
 class ServiceTest : public ::testing::TestWithParam<std::string> {};
+
+// The service has no thread of its own: its clients inject their
+// launchers, so W workers are all it adds.
+TEST_P(ServiceTest, AddsOnlyItsWorkerThreads) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "needs /proc/self/task";
+  }
+  constexpr std::size_t kWorkers = 3;
+  std::size_t with_service = 0;
+  {
+    dag_service svc(base_cfg(GetParam(), kWorkers));
+    ASSERT_TRUE(svc.submit([] {}).wait());  // every thread has started
+    with_service = settled_thread_count();
+  }
+  // Compared with the count once the service is gone, not before it
+  // existed: a sanitizer runtime starts a thread of its own at the
+  // process's first thread creation.
+  EXPECT_EQ(with_service - settled_thread_count(), kWorkers);
+}
 
 TEST_P(ServiceTest, SubmitWaitRoundTrip) {
   dag_service svc(base_cfg(GetParam()));
@@ -72,8 +114,8 @@ TEST_P(ServiceTest, NestedParallelismInsideSubmission) {
   EXPECT_EQ(leaves.load(), 3);
 }
 
-// The inbox is a LIFO list the dispatcher reverses; with one worker the
-// roots run in dispatch order, so any batch taken unreversed shows here.
+// Launchers enter the scheduler's injection queue in submission order;
+// with one worker the roots run in that order.
 TEST_P(ServiceTest, SubmissionsStartInArrivalOrder) {
   constexpr int kJobs = 1000;
   dag_service svc(base_cfg(GetParam(), /*workers=*/1));
@@ -92,15 +134,13 @@ TEST_P(ServiceTest, SubmissionsStartInArrivalOrder) {
   }
 }
 
-// With the idle timer off the dispatcher sleeps without a timeout, so only
-// the push that finds the inbox empty can wake it. Back-to-back round trips
-// make nearly every push that one; a lost wakeup hangs here.
-TEST_P(ServiceTest, UntimedDispatcherWakesForEverySubmission) {
+// Back-to-back round trips from several clients: the only wake a
+// submission needs is the scheduler's, for its launcher, and each round
+// trip lets the workers fall idle again. A lost wake-up hangs here.
+TEST_P(ServiceTest, BackToBackRoundTripsComplete) {
   constexpr int kClients = 3;
   constexpr int kRoundTrips = 500;
-  auto cfg = base_cfg(GetParam());
-  cfg.idle_trim_after = 0ms;
-  dag_service svc(cfg);
+  dag_service svc(base_cfg(GetParam()));
   std::atomic<int> ran{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
@@ -114,18 +154,15 @@ TEST_P(ServiceTest, UntimedDispatcherWakesForEverySubmission) {
   }
   for (auto& th : clients) th.join();
   EXPECT_EQ(ran.load(), kClients * kRoundTrips);
-  EXPECT_EQ(svc.stats().idle_trims, 0u);
 }
 
 // The worker that runs a submission builds its (root, final) pair, so on a
 // one-worker service every registry cell is allocated and freed by that
-// worker. (When the dispatcher built the pairs, each submission freed four
-// cells remotely: two vertices, the counter and the dec-pair.)
+// worker. (A pair built by another thread would free four cells remotely:
+// two vertices, the counter and the dec-pair.)
 TEST_P(ServiceTest, OneWorkerServiceFreesNothingRemotely) {
   constexpr int kJobs = 10000;
-  auto cfg = base_cfg(GetParam(), /*workers=*/1);
-  cfg.idle_trim_after = 0ms;
-  dag_service svc(cfg);
+  dag_service svc(base_cfg(GetParam(), /*workers=*/1));
   const std::uint64_t before = svc.rt().pools().totals().remote_frees;
   std::atomic<std::uint64_t> leaves{0};
   std::vector<ticket> tickets;
@@ -297,9 +334,55 @@ TEST_P(ServiceTest, ShutdownRejectConservesAndNeverHangs) {
   EXPECT_EQ(s.inflight, 0u);
 }
 
+// A reject shutdown reaches launchers that have not started. One worker is
+// held on a gate by the first job while kQueued more submissions wait
+// behind it; shutdown(reject) from another thread must reject all of them
+// once the gate opens. Probe submissions (also queued until shutdown
+// refuses one) drop their tickets at once, so each of their launchers
+// frees its own ticket from inside its body.
+TEST_P(ServiceTest, RejectShutdownRejectsLaunchersNotYetStarted) {
+  constexpr int kQueued = 64;
+  dag_service svc(base_cfg(GetParam(), /*workers=*/1));
+  std::atomic<bool> started{false};
+  std::atomic<bool> gate{false};
+  std::atomic<int> ran{0};
+  ticket first = svc.submit([&started, &gate] {
+    started.store(true, std::memory_order_release);
+    while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
+  });
+  ASSERT_TRUE(first.valid());
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  std::vector<ticket> queued;
+  for (int i = 0; i < kQueued; ++i) {
+    queued.push_back(svc.submit([&ran] { ran.fetch_add(1); }));
+    ASSERT_TRUE(queued.back().valid());
+  }
+  std::thread stopper(
+      [&svc] { svc.shutdown(dag_service::drain_mode::reject); });
+  // Shutdown has begun once a submission is refused at the door.
+  std::uint64_t probes = 0;
+  for (;;) {
+    ++probes;
+    if (!svc.submit([&ran] { ran.fetch_add(1); }).valid()) break;
+    std::this_thread::sleep_for(100us);
+  }
+  gate.store(true, std::memory_order_release);
+  stopper.join();
+  EXPECT_TRUE(first.wait());
+  for (auto& t : queued) EXPECT_FALSE(t.wait());
+  EXPECT_EQ(ran.load(), 0);
+  const auto s = svc.stats();
+  EXPECT_EQ(s.submitted, 1 + kQueued + probes);
+  EXPECT_EQ(s.admitted, 1u);
+  EXPECT_EQ(s.completed, s.admitted);
+  EXPECT_EQ(s.completed + s.rejected, s.submitted);
+  EXPECT_EQ(s.inflight, 0u);
+  queued.clear();  // tickets may not outlive the service
+}
+
 // Regression for the admit/shutdown TOCTOU: a submitter that passes the
 // stop check just before shutdown() must either be visible to the drain
-// protocol (inflight_ raised before the dispatcher's exit test can pass)
+// protocol (inflight_ raised before shutdown()'s drain wait can pass)
 // or be rejected — never left holding a valid ticket nobody will resolve.
 // Each iteration races clients submitting flat-out against an almost
 // immediate drain shutdown; a regression shows up as wait() hanging (test
@@ -347,10 +430,8 @@ TEST_P(ServiceTest, DrainShutdownRacingSubmittersNeverStrandsATicket) {
   }
 }
 
-TEST_P(ServiceTest, IdleTimerTrimsPoolsBetweenBursts) {
-  auto cfg = base_cfg(GetParam(), /*workers=*/2);
-  cfg.idle_trim_after = 1ms;
-  dag_service svc(cfg);
+TEST_P(ServiceTest, TrimPoolsBetweenBursts) {
+  dag_service svc(base_cfg(GetParam(), /*workers=*/2));
   auto burst = [&svc](int jobs) {
     std::atomic<std::uint64_t> leaves{0};
     std::vector<ticket> tickets;
@@ -375,30 +456,41 @@ TEST_P(ServiceTest, IdleTimerTrimsPoolsBetweenBursts) {
     for (auto& t : tickets) ok += t.wait() ? 1 : 0;
     return ok;
   };
+  // A submission in flight keeps the pools in use: no trim.
+  std::atomic<bool> gate{false};
+  ticket held = svc.submit([&gate] {
+    while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
+  });
+  ASSERT_TRUE(held.valid());
+  EXPECT_FALSE(svc.trim_pools());
+  gate.store(true, std::memory_order_release);
+  EXPECT_TRUE(held.wait());
+  EXPECT_EQ(svc.stats().idle_trims, 0u);
+
   EXPECT_EQ(burst(500), 500u);
-  // The burst is over; the idle timer must fire on its own and give slabs
-  // back upstream. (retained() does not reach exactly 0: trim leaves free
-  // cells of pinned slabs on the recycle list — so assert the parts a trim
-  // fully controls: flushed magazines and released slabs.)
-  ASSERT_TRUE(eventually([&svc] {
-    const auto s = svc.stats();
-    return s.idle_trims >= 1 && s.slabs_released >= 1;
-  })) << "idle timer never released slabs; idle_trims="
-      << svc.stats().idle_trims;
-  ASSERT_TRUE(eventually([&svc] {
-    return svc.rt().pools().totals().magazine_cells == 0;
-  })) << "trim left magazine cells; retained="
+  // The burst is over: the trim must give slabs back upstream. (retained()
+  // does not reach exactly 0: trim leaves free cells of pinned slabs on the
+  // recycle list — so assert the parts a trim fully controls: flushed
+  // magazines and released slabs.)
+  ASSERT_TRUE(svc.trim_pools());
+  EXPECT_EQ(svc.stats().idle_trims, 1u);
+  EXPECT_GE(svc.stats().slabs_released, 1u);
+  EXPECT_EQ(svc.rt().pools().totals().magazine_cells, 0u)
+      << "trim left magazine cells; retained="
       << svc.rt().pools().totals().retained();
   // Tickets come from the service's own pool, never from the registry the
-  // idle trim releases.
+  // trim releases.
   for (const auto& row : svc.rt().pools().rows()) {
     EXPECT_EQ(row.name.find("service_ticket"), std::string::npos) << row.name;
   }
   // The service must still be fully serviceable after trimming.
   EXPECT_EQ(burst(100), 100u);
   const auto s = svc.stats();
-  EXPECT_EQ(s.completed, 600u);
+  EXPECT_EQ(s.completed, 601u);
   EXPECT_EQ(s.completed + s.rejected, s.submitted);
+  svc.shutdown();
+  EXPECT_FALSE(svc.trim_pools());
+  EXPECT_EQ(svc.stats().idle_trims, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedulers, ServiceTest,
